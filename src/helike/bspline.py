@@ -1,11 +1,13 @@
 """B-spline radial basis on [0, R] with per-interval Gauss-Legendre quadrature.
 
 The basis functions B_{i,k}(r), i = 1..N, of order k live on a clamped knot
-sequence with k-fold endpoint multiplicity.  Evaluation uses the Cox-de Boor
-recurrence with the zero-denominator terms dropped.  All radial integrals in
-the package are taken on the per-breakpoint-interval Gauss-Legendre grid
-cached here, which is exact for products of two splines against polynomial
-weights.
+sequence with k-fold endpoint multiplicity.  Evaluation is vectorized over
+points: one Cox-de Boor recurrence, with the zero-denominator terms dropped,
+runs over all points at once.  Values come from its order-k row and first
+derivatives from its order-(k-1) row (de Boor, A Practical Guide to Splines,
+1978).  All radial integrals in the package are taken on the
+per-breakpoint-interval Gauss-Legendre grid cached here, which is exact for
+products of two splines against polynomial weights.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ class KnotSequence:
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
         k = self.order
+        if k < 2:
+            raise InvalidParameterError(f"order must be >= 2, got {k}")
         if np.any(np.diff(pts) < 0):
             raise InvalidParameterError("knot points must be non-decreasing")
         if not (np.all(pts[:k] == pts[0]) and np.all(pts[-k:] == pts[-1])):
@@ -89,87 +93,40 @@ def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
     return KnotSequence(points=points, order=order)
 
 
-def _find_cell(knots: KnotSequence, r: float) -> int:
-    """Index mu into knots.points with t[mu] <= r < t[mu+1] (last cell closed)."""
-    t = knots.points
-    k = knots.order
-    n = knots.n_splines
-    if r >= t[-1]:
-        mu = n - 1
-    else:
-        mu = int(np.searchsorted(t, r, side="right") - 1)
-        mu = min(max(mu, k - 1), n - 1)
-    return mu
+def _over_support(t: np.ndarray, mu: np.ndarray, vals: np.ndarray):
+    """Knots and B_{i,j}/(t_{i+j}-t_i) of the order-j splines i = mu-j+1..mu.
+
+    vals holds their values, one column per spline (j = vals.shape[1]).
+    Returns (t_i, t_{i+j}, ratio); the ratio is zero where t_{i+j} = t_i.
+    """
+    j = vals.shape[1]
+    i = mu[:, None] + np.arange(1 - j, 1)
+    lo, hi = t[i], t[i + j]
+    d = hi - lo
+    return lo, hi, np.divide(vals, d, out=np.zeros_like(vals), where=d > 0.0)
 
 
-def _nonzero_values(knots: KnotSequence, r: float) -> tuple[int, np.ndarray]:
-    """Values of the k B-splines that are nonzero at r.
+def _nonzero_basis(knots: KnotSequence, r: np.ndarray,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and the m nonzero order-m B-spline values at each point of r.
 
-    Returns (first, vals) with vals[j] = B_{first+j, k}(r), 0-based spline
-    indices.  Cox-de Boor triangle; zero-denominator terms are dropped.
+    Returns (mu, vals): mu[p] indexes knots.points with t[mu] <= r < t[mu+1]
+    (the last cell closed at r_max, clamped to [k-1, n-1]) and
+    vals[p, j] = B_{mu[p]-m+1+j, m}(r[p]) with 0-based spline indices, for
+    m <= k.  One pass of the Cox-de Boor triangle over all points; terms
+    whose denominator is zero are dropped.
     """
     t = knots.points
-    k = knots.order
-    mu = _find_cell(knots, r)
-    vals = np.zeros(k)
-    vals[k - 1] = 1.0
-    for ord_ in range(2, k + 1):
-        # splines mu-ord_+1 .. mu of order ord_ live in vals[k-ord_ .. k-1]
-        new = np.zeros(k)
-        for j in range(ord_):
-            i = mu - ord_ + 1 + j
-            acc = 0.0
-            d1 = t[i + ord_ - 1] - t[i]
-            if d1 > 0.0 and j > 0:
-                acc += (r - t[i]) / d1 * vals[k - ord_ + j]
-            d2 = t[i + ord_] - t[i + 1]
-            if d2 > 0.0 and j < ord_ - 1:
-                acc += (t[i + ord_] - r) / d2 * vals[k - ord_ + 1 + j]
-            new[k - ord_ + j] = acc
-        vals = new
-    return mu - k + 1, vals
-
-
-def _nonzero_derivs(knots: KnotSequence, r: float) -> tuple[int, np.ndarray]:
-    """First derivatives of the k B-splines nonzero at r.
-
-    Uses dB_{i,k}/dr = (k-1) [B_{i,k-1}/(t_{i+k-1}-t_i)
-                              - B_{i+1,k-1}/(t_{i+k}-t_{i+1})].
-    """
-    t = knots.points
-    k = knots.order
-    mu = _find_cell(knots, r)
-    if k == 1:
-        return mu, np.zeros(1)
-    # order-(k-1) values at r: recompute the triangle up to order k-1
-    vals = np.zeros(k)
-    vals[k - 1] = 1.0
-    for ord_ in range(2, k):
-        new = np.zeros(k)
-        for j in range(ord_):
-            i = mu - ord_ + 1 + j
-            acc = 0.0
-            d1 = t[i + ord_ - 1] - t[i]
-            if d1 > 0.0 and j > 0:
-                acc += (r - t[i]) / d1 * vals[k - ord_ + j]
-            d2 = t[i + ord_] - t[i + 1]
-            if d2 > 0.0 and j < ord_ - 1:
-                acc += (t[i + ord_] - r) / d2 * vals[k - ord_ + 1 + j]
-            new[k - ord_ + j] = acc
-        vals = new
-    lower = vals[1:]  # B_{mu-k+2+j, k-1}, j = 0..k-2
-    derivs = np.zeros(k)
-    for j in range(k):
-        i = mu - k + 1 + j
-        acc = 0.0
-        d1 = t[i + k - 1] - t[i]
-        if d1 > 0.0 and j > 0:
-            acc += lower[j - 1] / d1
-        d2 = t[i + k] - t[i + 1]
-        if d2 > 0.0 and j < k - 1:
-            acc -= lower[j] / d2
-        derivs[j] = (k - 1) * acc
-    return mu - k + 1, derivs
+    mu = np.searchsorted(t, r, side="right") - 1
+    mu = np.clip(mu, knots.order - 1, knots.n_splines - 1)
+    vals = np.ones((len(r), 1))
+    for j in range(1, m):
+        # each order-j spline feeds two of order j+1
+        lo, hi, term = _over_support(t, mu, vals)
+        vals = np.zeros((len(r), j + 1))
+        vals[:, :-1] = (hi - r[:, None]) * term
+        vals[:, 1:] += (r[:, None] - lo) * term
+    return mu, vals
 
 
 class BSplineBasis:
@@ -206,47 +163,32 @@ class BSplineBasis:
     def r_max(self) -> float:
         return self.knots.r_max
 
-    def _check_index(self, i: int):
-        if not 0 <= i < self.n_splines:
-            raise IndexError(
-                f"spline index {i} out of range [0, {self.n_splines})"
-            )
-
-    def evaluate(self, i: int, r: float) -> float:
-        """B_{i,order}(r) for one 0-based spline index."""
-        self._check_index(i)
-        if r < self.knots.r_min or r > self.knots.r_max:
-            return 0.0
-        first, vals = _nonzero_values(self.knots, r)
-        j = i - first
-        return float(vals[j]) if 0 <= j < self.order else 0.0
-
-    def evaluate_deriv(self, i: int, r: float) -> float:
-        """dB_{i,order}/dr at r for one 0-based spline index."""
-        self._check_index(i)
-        if r < self.knots.r_min or r > self.knots.r_max:
-            return 0.0
-        first, vals = _nonzero_derivs(self.knots, r)
-        j = i - first
-        return float(vals[j]) if 0 <= j < self.order else 0.0
+    def _scatter(self, mu: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """(len(mu), n_splines) matrix with vals in columns mu-k+1 .. mu."""
+        out = np.zeros((len(mu), self.n_splines))
+        cols = mu[:, None] + np.arange(1 - self.order, 1)
+        np.put_along_axis(out, cols, vals, axis=1)
+        return out
 
     def eval_matrix(self, points) -> np.ndarray:
         """Dense (len(points), n_splines) matrix of basis values."""
         pts = np.asarray(points, dtype=float).ravel()
-        out = np.zeros((len(pts), self.n_splines))
-        for row, r in enumerate(pts):
-            first, vals = _nonzero_values(self.knots, r)
-            out[row, first:first + self.order] = vals
-        return out
+        return self._scatter(*_nonzero_basis(self.knots, pts, self.order))
 
     def deriv_matrix(self, points) -> np.ndarray:
-        """Dense (len(points), n_splines) matrix of basis first derivatives."""
+        """Dense (len(points), n_splines) matrix of basis first derivatives.
+
+        dB_{i,k}/dr = (k-1) [B_{i,k-1}/(t_{i+k-1}-t_i)
+                             - B_{i+1,k-1}/(t_{i+k}-t_{i+1})]
+        """
+        k = self.order
         pts = np.asarray(points, dtype=float).ravel()
-        out = np.zeros((len(pts), self.n_splines))
-        for row, r in enumerate(pts):
-            first, vals = _nonzero_derivs(self.knots, r)
-            out[row, first:first + self.order] = vals
-        return out
+        mu, lower = _nonzero_basis(self.knots, pts, k - 1)
+        _, _, term = _over_support(self.knots.points, mu, lower)
+        vals = np.zeros((len(pts), k))
+        vals[:, 1:] = term
+        vals[:, :-1] -= term
+        return self._scatter(mu, (k - 1) * vals)
 
     @cached_property
     def quad_values(self) -> np.ndarray:

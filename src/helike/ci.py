@@ -154,11 +154,17 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
             "slater table was built for a different orbital set"
         )
     n = len(configs)
-    need = n * n * 8
+    # Peak estimate: H, plus the l = 0 working set (the most orbitals and
+    # configurations): the R^k block G with its symmetrized copy, and the
+    # direct/exchange gathers, their weighted sum and the block they fill.
+    n_orb = orbitals.orbitals(0).n_orbitals
+    n_cfg = configs.block_slices()[0].stop
+    need = 8 * (n * n + 2 * n_orb**4 + 4 * n_cfg**2)
     if need > memory_budget:
         raise MemoryError(
-            f"dense Hamiltonian needs {need} bytes "
-            f"(budget {memory_budget}); reduce l_max/n_max"
+            f"CI assembly needs an estimated {need} bytes: H {8 * n * n}, "
+            f"largest R^k block {8 * n_orb**4} held twice, gathers "
+            f"{32 * n_cfg**2} (budget {memory_budget}); reduce l_max/n_max"
         )
     S = configs.S
     H = np.zeros((n, n))
@@ -189,7 +195,7 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
                 direct = G[A[:, None], C[None, :], B[:, None], D[None, :]]
                 exch = G[A[:, None], D[None, :], B[:, None], C[None, :]]
                 block += ck * (direct + xsign * exch)
-                slater.drop_block(k, la, lc)
+                del G, direct, exch  # free before the next block is built
             block *= f_ab[:, None] * f_cd[None, :]
             H[rows, cols] = block
             if lc != la:

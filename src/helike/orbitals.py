@@ -84,15 +84,6 @@ class RadialOrbitalSet:
             raise IndexError(f"orbital n={n}, l={l} not available")
         return float(orb.energies[idx])
 
-    def value(self, n: int, l: int, r: float) -> float:
-        """chi_nl(r) = sum_i c_i B_{i+1,k}(r) (reduced radial convention)."""
-        orb = self.orbitals(l)
-        idx = n - l - 1
-        if not 0 <= idx < orb.n_orbitals:
-            raise IndexError(f"orbital n={n}, l={l} not available")
-        row = self.basis.eval_matrix([r])[0, 1:-1]
-        return float(row @ orb.coefficients[idx])
-
     def values_at(self, l: int, points) -> np.ndarray:
         """All chi_nl for one l sampled at points, shape (n_orb, len(points))."""
         orb = self.orbitals(l)

@@ -389,13 +389,6 @@ class ZScanResult:
 SCAN_DEFAULTS = {"l_max": 2, "n_max": 15}
 
 
-def scan_config(config: RunConfig | None = None) -> RunConfig:
-    """Z-scan base configuration (lighter truncation than single solves)."""
-    if config is None:
-        return RunConfig(**SCAN_DEFAULTS)
-    return config
-
-
 def run_zscan(config: RunConfig | None = None, charges=None, states=None,
               escalate_box: bool = False, threads: int = 1) -> ZScanResult:
     """Solve the requested states on a charge grid; keep going on failures.
@@ -406,7 +399,7 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
     state; individual failed charges are collected in .failures instead of
     aborting the scan.
     """
-    base = scan_config(config)
+    base = config or RunConfig(**SCAN_DEFAULTS)
     charges = sorted(set(float(z) for z in (charges or default_scan_charges())))
     states = list(states or ["1s2s-1S", "1s2s-3S"])
     for s in states:
@@ -414,7 +407,7 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
 
     def one_charge(z: float):
         rows, fails = [], []
-        cfg = replace(base, z=z, r_max=base.r_max, gamma=base.gamma)
+        cfg = replace(base, z=z)
         for s in states:
             try:
                 report = run_solve(replace(cfg, state=s),

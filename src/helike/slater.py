@@ -11,9 +11,10 @@ partially covered cell is integrated on dedicated sub-cell Gauss-Legendre
 nodes (precomputed per outer point), keeping the quadrature exact for the
 piecewise-polynomial integrand on both sides of the kernel kink at r1 = r2.
 
-Bulk production runs go through `rank_block`, which returns all integrals
+Bulk production runs go through `rank_block`, which computes all integrals
 for one (k, l-pair) combination as a single dense tensor via one matrix
-product; scalar lookups are cached on canonicalized quadruples.
+product and keeps nothing; scalar lookups are cached on canonicalized
+quadruples.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ SUBCELL_POINTS = 12
 
 
 class SlaterIntegralTable:
-    """Slater integrals for one orbital set; caches blocks and scalars."""
+    """Slater integrals for one orbital set; caches samples and scalars."""
 
     def __init__(self, orbital_set: RadialOrbitalSet,
                  subcell_points: int = SUBCELL_POINTS):
@@ -53,7 +54,6 @@ class SlaterIntegralTable:
         self._vals_main: dict[int, np.ndarray] = {}
         self._vals_left: dict[int, np.ndarray] = {}
         self._vals_right: dict[int, np.ndarray] = {}
-        self._block_cache: dict[tuple, np.ndarray] = {}
         self._scalar_cache: dict[tuple, float] = {}
         self._nq = nq
         self._p = p
@@ -118,21 +118,13 @@ class SlaterIntegralTable:
         symmetry of the integrand G[a, c, b, d] == G[b, d, a, c]; the result
         is symmetrized so this holds exactly.
         """
-        key = (k, la, lc)
-        if key in self._block_cache:
-            return self._block_cache[key]
         Xa, Xc = self._main(la), self._main(lc)
         na, nc = Xa.shape[0], Xc.shape[0]
         U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
         V = self._inner(k, la, lc).reshape(na * nc, -1)
         G = U @ V.T
         G = 0.5 * (G + G.T)
-        G = G.reshape(na, nc, na, nc)
-        self._block_cache[key] = G
-        return G
-
-    def drop_block(self, k: int, la: int, lc: int):
-        self._block_cache.pop((k, la, lc), None)
+        return G.reshape(na, nc, na, nc)
 
     def _one_orientation(self, k, a, c, b, d) -> float:
         """R^k with (a, c) on the outer quadrature and (b, d) on the inner."""

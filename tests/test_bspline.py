@@ -1,10 +1,15 @@
 """B-spline basis: values, derivatives, quadrature, and overlap."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import BSpline as ScipyBSpline
 
-from helike.bspline import BSplineBasis, make_knots
+import helike
+from helike.bspline import BSplineBasis, KnotSequence, make_knots
 from helike.errors import InvalidParameterError
 
 RNG = np.random.default_rng(20240817)
@@ -35,7 +40,9 @@ def test_partition_of_unity(basis):
 def test_matches_scipy(basis):
     t = basis.knots.points
     k = basis.knots.order
-    r = RNG.uniform(0.0, 39.999, size=150)
+    # interior points, every breakpoint, and both ends (closed last cell)
+    r = np.concatenate([RNG.uniform(0.0, 39.999, size=150),
+                        basis.breakpoints, [0.0, basis.r_max]])
     B = basis.eval_matrix(r)
     dB = basis.deriv_matrix(r)
     for i in range(basis.knots.n_splines):
@@ -45,6 +52,7 @@ def test_matches_scipy(basis):
         assert_allclose(B[:, i], np.nan_to_num(ref(r)), atol=1e-12)
         assert_allclose(dB[:, i], np.nan_to_num(ref.derivative()(r)),
                         atol=1e-9)
+    assert basis.eval_matrix([]).shape == (0, basis.knots.n_splines)
 
 
 def test_local_support(basis):
@@ -101,3 +109,15 @@ def test_invalid_parameters():
         make_knots(10.0, 4, 6)   # fewer splines than the order
     with pytest.raises(InvalidParameterError):
         make_knots(10.0, 10, 6, grid="cubic")
+    with pytest.raises(InvalidParameterError):
+        KnotSequence(np.array([0.0, 5.0, 10.0]), 1)   # no order-0 row
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate would add about 0.4 s and 20 MiB to every start-up
+    # (measured on a 2-vCPU host); evaluation is numpy only
+    src = str(Path(helike.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import helike; "
+            "sys.exit('scipy.interpolate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120)
+    assert done.returncode == 0

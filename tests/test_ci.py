@@ -100,6 +100,11 @@ def test_memory_budget(toy):
     configs = build_config_list(1, 3, 0, 0)
     with pytest.raises(MemoryError):
         assemble_hamiltonian(configs, orbitals, slater, memory_budget=8)
+    # room for H but not for H plus the largest R^k block
+    n_orb = orbitals.orbitals(0).n_orbitals
+    budget = 8 * len(configs) ** 2 + 8 * n_orb**4 - 1
+    with pytest.raises(MemoryError):
+        assemble_hamiltonian(configs, orbitals, slater, memory_budget=budget)
 
 
 def test_mismatched_slater_table(toy):
