@@ -117,31 +117,6 @@ def config_count(l_max: int, n_max: int, S: int) -> int:
     return total
 
 
-def hamiltonian_element(cfg_i: Configuration, cfg_j: Configuration,
-                        orbitals: RadialOrbitalSet,
-                        slater: SlaterIntegralTable, S: int) -> float:
-    """Single CSF matrix element <cfg_i|H|cfg_j> (L = 0)."""
-    la, lc = cfg_i.l, cfg_j.l
-    a, b = (cfg_i.n1, la), (cfg_i.n2, la)
-    c, d = (cfg_j.n1, lc), (cfg_j.n2, lc)
-    val = 0.0
-    if cfg_i == cfg_j:
-        val += orbitals.energy(*a) + orbitals.energy(*b)
-    f = 1.0
-    if cfg_i.n1 == cfg_i.n2:
-        f /= np.sqrt(2.0)
-    if cfg_j.n1 == cfg_j.n2:
-        f /= np.sqrt(2.0)
-    xsign = -1.0 if S == 1 else 1.0
-    for k in multipole_ranks(la, la, lc, lc):
-        ck = coupling_coefficient(la, la, lc, lc, 0, k)
-        if ck == 0.0:
-            continue
-        val += f * ck * (slater.integral(k, a, b, c, d)
-                         + xsign * slater.integral(k, a, b, d, c))
-    return float(val)
-
-
 MEMORY_BUDGET_BYTES = 4 << 30
 
 

@@ -6,6 +6,11 @@ instead of closed-form recoupling, and the explicit (n, l, m)-resolved
 reduced density matrix instead of the per-l block construction.  The
 production code never calls into this module; the `selftest` CLI verb and
 the test suite do.
+
+`hamiltonian_msum` reads its radial Slater integrals from the same kernel as
+production (`SlaterIntegralTable.integral`), so it checks the angular and CSF
+algebra only; R^k itself is checked against the hydrogenic closed forms in
+`selftest.HYDROGENIC_RK`.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ pytest.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,15 +46,32 @@ def check_hydrogenic_energies() -> float:
     return worst
 
 
-def check_slater_ground_integral() -> float:
-    """R^0(1s1s,1s1s) vs the closed form 5Z/8 for Z in {1, 2, 5}."""
+# Closed-form hydrogenic Slater integrals in units of Z (Condon & Shortley,
+# The Theory of Atomic Spectra, 1935), as (k, a, b, c, d, value) with
+# value = R^k(a b, c d) / Z in the argument order of slater.integral.
+HYDROGENIC_RK = [
+    (0, (1, 0), (1, 0), (1, 0), (1, 0), Fraction(5, 8)),       # F0(1s,1s)
+    (0, (1, 0), (2, 0), (1, 0), (2, 0), Fraction(17, 81)),     # F0(1s,2s)
+    (0, (1, 0), (2, 0), (2, 0), (1, 0), Fraction(16, 729)),    # G0(1s,2s)
+    (0, (1, 0), (2, 1), (1, 0), (2, 1), Fraction(59, 243)),    # F0(1s,2p)
+    (1, (1, 0), (2, 1), (2, 1), (1, 0), Fraction(112, 2187)),  # G1(1s,2p)
+    (0, (2, 0), (2, 0), (2, 0), (2, 0), Fraction(77, 512)),    # F0(2s,2s)
+    (0, (2, 0), (2, 1), (2, 0), (2, 1), Fraction(83, 512)),    # F0(2s,2p)
+    (1, (2, 0), (2, 1), (2, 1), (2, 0), Fraction(45, 512)),    # G1(2s,2p)
+    (0, (2, 1), (2, 1), (2, 1), (2, 1), Fraction(93, 512)),    # F0(2p,2p)
+    (2, (2, 1), (2, 1), (2, 1), (2, 1), Fraction(45, 512)),    # F2(2p,2p)
+]
+
+
+def check_slater_closed_forms() -> float:
+    """Relative R^k error against HYDROGENIC_RK for Z in {1, 2, 5}."""
     worst = 0.0
     for Z in (1.0, 2.0, 5.0):
         basis = BSplineBasis(make_knots(60.0 / Z, 35, 7))
-        orbitals = build_orbital_set(basis, Z, 5, 0)
-        slater = SlaterIntegralTable(orbitals)
-        val = slater.integral(0, (1, 0), (1, 0), (1, 0), (1, 0))
-        worst = max(worst, abs(val - 5.0 * Z / 8.0))
+        slater = SlaterIntegralTable(build_orbital_set(basis, Z, 2, 1))
+        for k, a, b, c, d, exact in HYDROGENIC_RK:
+            val = slater.integral(k, a, b, c, d)
+            worst = max(worst, abs(val / (Z * float(exact)) - 1.0))
     return worst
 
 
@@ -134,7 +152,7 @@ def check_trace_normalization() -> float:
 
 CHECKS = [
     ("hydrogenic energies vs -Z^2/2n^2", check_hydrogenic_energies, 1e-8),
-    ("R^0(1s1s,1s1s) vs 5Z/8", check_slater_ground_integral, 1e-8),
+    ("R^k vs hydrogenic closed forms", check_slater_closed_forms, 1e-8),
     ("angular factors vs magnetic sums", check_coupling_coefficients, 1e-12),
     ("CI Hamiltonian vs determinant expansion", check_toy_hamiltonian, 1e-12),
     ("block RDM vs m-resolved RDM", check_block_rdm, 1e-12),

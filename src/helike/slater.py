@@ -11,10 +11,10 @@ partially covered cell is integrated on dedicated sub-cell Gauss-Legendre
 nodes (precomputed per outer point), keeping the quadrature exact for the
 piecewise-polynomial integrand on both sides of the kernel kink at r1 = r2.
 
-Bulk production runs go through `rank_block`, which computes all integrals
-for one (k, l-pair) combination as a single dense tensor via one matrix
-product and keeps nothing; scalar lookups are cached on canonicalized
-quadruples.
+One kernel, `_block`, computes every integral for one (k, four l's)
+combination as a dense tensor via one matrix product and keeps nothing.
+Production runs read it through `rank_block`; the scalar `integral`, an
+oracle and test entry point, indexes the same tensor.
 """
 from __future__ import annotations
 
@@ -26,10 +26,9 @@ SUBCELL_POINTS = 12
 
 
 class SlaterIntegralTable:
-    """Slater integrals for one orbital set; caches samples and scalars."""
+    """Slater integrals for one orbital set; caches orbital samples per l."""
 
-    def __init__(self, orbital_set: RadialOrbitalSet,
-                 subcell_points: int = SUBCELL_POINTS):
+    def __init__(self, orbital_set: RadialOrbitalSet):
         self.orbitals = orbital_set
         basis = orbital_set.basis
         self.basis = basis
@@ -37,9 +36,7 @@ class SlaterIntegralTable:
         self.r = r
         self.w = basis.quad_weights
         self.cell = basis.quad_cell
-        nq = len(r)
-        p = subcell_points
-        x, gw = np.polynomial.legendre.leggauss(p)
+        x, gw = np.polynomial.legendre.leggauss(SUBCELL_POINTS)
         bp = basis.breakpoints
         lo = bp[self.cell]          # left edge of each outer point's cell
         hi = bp[self.cell + 1]      # right edge
@@ -54,9 +51,6 @@ class SlaterIntegralTable:
         self._vals_main: dict[int, np.ndarray] = {}
         self._vals_left: dict[int, np.ndarray] = {}
         self._vals_right: dict[int, np.ndarray] = {}
-        self._scalar_cache: dict[tuple, float] = {}
-        self._nq = nq
-        self._p = p
 
     # -- orbital sampling ---------------------------------------------------
 
@@ -68,27 +62,27 @@ class SlaterIntegralTable:
     def _left(self, l: int) -> np.ndarray:
         if l not in self._vals_left:
             v = self.orbitals.values_at(l, self.sub_left.ravel())
-            self._vals_left[l] = v.reshape(-1, self._nq, self._p)
+            self._vals_left[l] = v.reshape(-1, *self.sub_left.shape)
         return self._vals_left[l]
 
     def _right(self, l: int) -> np.ndarray:
         if l not in self._vals_right:
             v = self.orbitals.values_at(l, self.sub_right.ravel())
-            self._vals_right[l] = v.reshape(-1, self._nq, self._p)
+            self._vals_right[l] = v.reshape(-1, *self.sub_right.shape)
         return self._vals_right[l]
 
     # -- inner (cumulative) kernels -----------------------------------------
 
-    def _inner(self, k: int, la: int, lb: int) -> np.ndarray:
-        """V[a, b, q] = inner integral for pair (a in la, b in lb) at r1 = r_q.
+    def _inner(self, k: int, lb: int, ld: int) -> np.ndarray:
+        """V[b, d, q] = inner integral for pair (b in lb, d in ld) at r1 = r_q.
 
-        V = r_q^{-k-1} * int_0^{r_q} r^k chi_a chi_b dr
-          + r_q^k      * int_{r_q}^R r^{-k-1} chi_a chi_b dr
+        V = r_q^{-k-1} * int_0^{r_q} r^k chi_b chi_d dr
+          + r_q^k      * int_{r_q}^R r^{-k-1} chi_b chi_d dr
         """
         r, w, cell = self.r, self.w, self.cell
         n_cells = self.basis.n_cells
-        Xa, Xb = self._main(la), self._main(lb)
-        prod = np.einsum("aq,bq->abq", Xa, Xb)
+        Xb, Xd = self._main(lb), self._main(ld)
+        prod = np.einsum("bq,dq->bdq", Xb, Xd)
         # per-cell moments on the main grid (points are cell-major, p per cell)
         p = self.basis.quad_order
         mom_lo = prod * (w * r**k)
@@ -97,16 +91,30 @@ class SlaterIntegralTable:
         cs_hi = mom_hi.reshape(*prod.shape[:2], n_cells, p).sum(axis=3)
         prefix = np.cumsum(cs_lo, axis=2) - cs_lo        # cells strictly left
         suffix = (np.cumsum(cs_hi[:, :, ::-1], axis=2)[:, :, ::-1] - cs_hi)
-        # partially covered cell via sub-cell quadrature
+        # partially covered cell via sub-cell quadrature: one (b, s) @ (s, d)
+        # product per outer point q, batched over q
         wl_k = self.sub_wl * self.sub_left**k
         wr_k = self.sub_wr * self.sub_right ** (-k - 1)
-        La, Lb = self._left(la), self._left(lb)
-        Ra, Rb = self._right(la), self._right(lb)
-        part_lo = np.einsum("aqs,bqs,qs->abq", La, Lb, wl_k)
-        part_hi = np.einsum("aqs,bqs,qs->abq", Ra, Rb, wr_k)
-        P = prefix[:, :, cell] + part_lo
-        Q = suffix[:, :, cell] + part_hi
+        Lb, Ld = self._left(lb), self._left(ld)
+        Rb, Rd = self._right(lb), self._right(ld)
+        part_lo = (Lb * wl_k).transpose(1, 0, 2) @ Ld.transpose(1, 2, 0)
+        part_hi = (Rb * wr_k).transpose(1, 0, 2) @ Rd.transpose(1, 2, 0)
+        P = prefix[:, :, cell] + part_lo.transpose(1, 2, 0)
+        Q = suffix[:, :, cell] + part_hi.transpose(1, 2, 0)
         return P * r ** (-k - 1) + Q * r**k
+
+    def _block(self, k: int, la: int, lc: int, lb: int, ld: int) -> np.ndarray:
+        """B[a, c, b, d] = R^k((a,la)(b,lb), (c,lc)(d,ld)), one orientation.
+
+        The pair (a, c) sits on the outer quadrature, (b, d) in the inner
+        integral; the two orientations agree to quadrature accuracy.
+        """
+        Xa, Xc = self._main(la), self._main(lc)
+        na, nc = Xa.shape[0], Xc.shape[0]
+        U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
+        V = self._inner(k, lb, ld)
+        nb, nd = V.shape[:2]
+        return (U @ V.reshape(nb * nd, -1).T).reshape(na, nc, nb, nd)
 
     # -- public API ---------------------------------------------------------
 
@@ -118,58 +126,24 @@ class SlaterIntegralTable:
         symmetry of the integrand G[a, c, b, d] == G[b, d, a, c]; the result
         is symmetrized so this holds exactly.
         """
-        Xa, Xc = self._main(la), self._main(lc)
-        na, nc = Xa.shape[0], Xc.shape[0]
-        U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
-        V = self._inner(k, la, lc).reshape(na * nc, -1)
-        G = U @ V.T
+        G = self._block(k, la, lc, la, lc)
+        na, nc = G.shape[:2]
+        G = G.reshape(na * nc, -1)
         G = 0.5 * (G + G.T)
         return G.reshape(na, nc, na, nc)
 
-    def _one_orientation(self, k, a, c, b, d) -> float:
-        """R^k with (a, c) on the outer quadrature and (b, d) on the inner."""
-
-        def chi(n, l):
-            i = n - l - 1
-            return (self._main(l)[i], self._left(l)[i], self._right(l)[i])
-
-        Ma, _, _ = chi(*a)
-        Mb, Lb_, Rb = chi(*b)
-        Mc, _, _ = chi(*c)
-        Md, Ld_, Rd = chi(*d)
-        r, w, cell = self.r, self.w, self.cell
-        prod = Mb * Md
-        mom_lo = prod * w * r**k
-        mom_hi = prod * w * r ** (-k - 1)
-        n_cells = self.basis.n_cells
-        cl = np.bincount(cell, weights=mom_lo, minlength=n_cells)
-        ch = np.bincount(cell, weights=mom_hi, minlength=n_cells)
-        prefix = np.cumsum(cl) - cl
-        suffix = np.cumsum(ch[::-1])[::-1] - ch
-        part_lo = np.einsum("qs,qs,qs->q", Lb_, Ld_,
-                            self.sub_wl * self.sub_left**k)
-        part_hi = np.einsum("qs,qs,qs->q", Rb, Rd,
-                            self.sub_wr * self.sub_right ** (-k - 1))
-        inner = ((prefix[cell] + part_lo) * r ** (-k - 1)
-                 + (suffix[cell] + part_hi) * r**k)
-        return float(np.dot(w * Ma * Mc, inner))
-
     def integral(self, k: int, a, b, c, d) -> float:
-        """Scalar R^k(a b, c d) with orbital labels (n, l).
+        """Scalar R^k(a b, c d) with orbital labels (n, l); oracle use only.
 
         Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
-        = R^k(cd,ab) before the cache lookup.  The two quadrature
-        orientations (which electron sits on the outer grid) are averaged,
-        matching the symmetrization applied to rank_block.
+        = R^k(cd,ab) so that all four give the same float.  The two
+        quadrature orientations (which electron sits on the outer grid) are
+        averaged, as the symmetrization of rank_block does.
         """
         key = min(
             (a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)
         )
-        ck = (k, key)
-        if ck in self._scalar_cache:
-            return self._scalar_cache[ck]
-        ka, kb, kc, kd = key
-        val = 0.5 * (self._one_orientation(k, ka, kc, kb, kd)
-                     + self._one_orientation(k, kb, kd, ka, kc))
-        self._scalar_cache[ck] = val
-        return val
+        (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
+            (n - l - 1, l) for n, l in key)
+        return float(0.5 * (self._block(k, la, lc, lb, ld)[ia, ic, ib, id_]
+                            + self._block(k, lb, ld, la, lc)[ib, id_, ia, ic]))

@@ -10,7 +10,6 @@ from helike.ci import (
     build_config_list,
     config_count,
     diagonalize,
-    hamiltonian_element,
     parse_state_label,
     select_state,
 )
@@ -23,9 +22,6 @@ from helike.errors import (
 )
 from helike.orbitals import build_orbital_set
 from helike.slater import SlaterIntegralTable
-
-RNG = np.random.default_rng(31415)
-
 
 @pytest.fixture(scope="module")
 def toy():
@@ -71,17 +67,6 @@ def test_hamiltonian_vs_determinant_expansion(toy):
         fast = assemble_hamiltonian(configs, orbitals, slater)
         slow = hamiltonian_msum(configs, orbitals, slater)
         assert_allclose(fast, slow, atol=1e-12)
-
-
-def test_assembled_matches_elementwise(toy):
-    orbitals, slater = toy
-    configs = build_config_list(1, 3, 0, 0)
-    H = assemble_hamiltonian(configs, orbitals, slater)
-    for _ in range(15):
-        i, j = RNG.integers(0, len(configs), 2)
-        elem = hamiltonian_element(configs[i], configs[j],
-                                   orbitals, slater, 0)
-        assert_allclose(H[i, j], elem, atol=1e-12)
 
 
 def test_hamiltonian_symmetric_and_variational(toy):

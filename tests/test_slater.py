@@ -1,10 +1,11 @@
-"""Radial Slater integrals: closed forms, symmetries, block consistency."""
+"""Radial Slater integrals: closed forms, symmetries, charge scaling."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helike.bspline import BSplineBasis, make_knots
 from helike.orbitals import build_orbital_set
+from helike.selftest import HYDROGENIC_RK
 from helike.slater import SlaterIntegralTable
 
 RNG = np.random.default_rng(7)
@@ -46,19 +47,38 @@ def test_scalar_symmetries(table):
         assert table.integral(k, d, c, b, a) == base
 
 
-def test_block_matches_scalar(table):
-    for (k, la, lc) in [(0, 0, 0), (1, 0, 1), (2, 1, 1)]:
-        G = table.rank_block(k, la, lc)
-        na, nc = G.shape[0], G.shape[1]
-        for _ in range(20):
-            a, b = RNG.integers(0, na, 2)
-            c, d = RNG.integers(0, nc, 2)
-            scalar = table.integral(
-                k,
-                (a + la + 1, la), (b + la + 1, la),
-                (c + lc + 1, lc), (d + lc + 1, lc),
-            )
-            assert_allclose(G[a, c, b, d], scalar, rtol=1e-12, atol=1e-15)
+def _rk_key(k, a, b, c, d):
+    """Label of R^k(a b, c d) invariant under its eight real-orbital
+    symmetries: the unordered pair of per-electron densities {a c}, {b d}."""
+    return k, frozenset((frozenset((a, c)), frozenset((b, d))))
+
+
+# rank_block entries holding a closed form, as (k, la, lc, [a, c, b, d])
+IN_BLOCK = [(0, 0, 0, (0, 0, 0, 0)), (0, 0, 0, (0, 0, 1, 1)),
+            (0, 0, 0, (0, 1, 1, 0)), (0, 0, 0, (1, 1, 1, 1)),
+            (1, 0, 1, (0, 0, 0, 0)), (1, 0, 1, (1, 0, 1, 0)),
+            (1, 1, 0, (0, 0, 0, 0)),
+            (0, 1, 1, (0, 0, 0, 0)), (2, 1, 1, (0, 0, 0, 0))]
+
+
+def test_hydrogenic_closed_forms():
+    # Condon-Shortley hydrogenic F^k/G^k, through the scalar oracle entry
+    # point and through the production blocks that contain them
+    for Z in (1.0, 2.0, 5.0):
+        t = make_table(Z=Z, n_max=2, l_max=1, r_max=80.0 / Z, n_splines=60)
+        exact = {}
+        for k, a, b, c, d, value in HYDROGENIC_RK:
+            assert_allclose(t.integral(k, a, b, c, d), Z * float(value),
+                            rtol=1e-12)
+            exact[_rk_key(k, a, b, c, d)] = Z * float(value)
+        seen = set()
+        for k, la, lc, (a, c, b, d) in IN_BLOCK:
+            key = _rk_key(k, (a + la + 1, la), (b + la + 1, la),
+                          (c + lc + 1, lc), (d + lc + 1, lc))
+            assert_allclose(t.rank_block(k, la, lc)[a, c, b, d], exact[key],
+                            rtol=1e-12)
+            seen.add(key)
+        assert len(seen) == 8
 
 
 def test_block_exchange_symmetry(table):
