@@ -22,7 +22,6 @@ import scipy.linalg
 
 from .angular import coupling_coefficient, multipole_ranks
 from .errors import (
-    AmbiguousStateError,
     InconsistentInputError,
     InvalidParameterError,
     UnsupportedSymmetryError,
@@ -215,6 +214,7 @@ class CIState:
     dominant: Configuration
     dominant_weight: float
     ambiguous: bool = False
+    selection: str = "overlap"   # or "energy-order" (1sns rank fallback)
 
 
 _LABEL_RE = re.compile(r"^(\d+)s(\d+)s$")
@@ -232,14 +232,17 @@ def parse_state_label(label: str) -> tuple[int, int]:
     return (n1, n2)
 
 
-def select_state(spectrum: Spectrum, configs: ConfigList, target: str,
-                 strict: bool = False) -> CIState:
+def select_state(spectrum: Spectrum, configs: ConfigList,
+                 target: str) -> CIState:
     """Eigenstate with maximal squared overlap on the target configuration.
 
     target is an (n1, n2) s-pair label such as '1s2s' or '1s2' (ground).
-    When the best weight falls below 0.5 the state is flagged ambiguous
-    (raised only with strict=True): near the critical charge the physical
-    state mixes with the discretized continuum.
+    When the best weight falls below 0.5 the state is flagged ambiguous:
+    near the critical charge the physical state mixes with the discretized
+    continuum.  For 1sns targets the energy order is still reliable (the
+    Hylleraas-Undheim-MacDonald bound makes the physical state the
+    (n - 1 - S)-th eigenvalue), so an ambiguous 1sns pick takes that rank
+    instead and records selection = 'energy-order'.
     """
     n1, n2 = parse_state_label(target)
     if configs.S == 1 and n1 == n2:
@@ -254,13 +257,10 @@ def select_state(spectrum: Spectrum, configs: ConfigList, target: str,
         ) from None
     weights = spectrum.eigenvectors[row, :] ** 2
     best = int(np.argmax(weights))
-    w = float(weights[best])
-    ambiguous = w < AMBIGUOUS_WEIGHT
-    if ambiguous and strict:
-        raise AmbiguousStateError(
-            f"best overlap with {target} is only {w:.3f}",
-            best_index=best, best_weight=w,
-        )
+    ambiguous = float(weights[best]) < AMBIGUOUS_WEIGHT
+    selection = "overlap"
+    if ambiguous and n1 == 1:
+        best, selection = n2 - 1 - configs.S, "energy-order"
     vec = spectrum.eigenvectors[:, best].copy()
     dom = int(np.argmax(vec**2))
     term = "1S" if configs.S == 0 else "3S"
@@ -272,4 +272,5 @@ def select_state(spectrum: Spectrum, configs: ConfigList, target: str,
         dominant=configs[dom],
         dominant_weight=float(vec[dom] ** 2),
         ambiguous=ambiguous,
+        selection=selection,
     )

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, choices=("csv", "json")):
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
         p.add_argument("--z", type=float, default=None,
@@ -59,10 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
         p.add_argument("--format", dest="formats", action="append",
-                       choices=("csv", "json", "svg"), default=None,
+                       choices=choices, default=None,
                        help="output format; repeatable (default csv)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for independent scan rows")
 
     p_solve = sub.add_parser("solve", help="solve one state")
     common(p_solve)
@@ -79,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("zscan",
                             help="scan nuclear charge down to Z = 1")
-    common(p_scan)
+    common(p_scan, choices=("csv", "json", "svg"))
+    p_scan.add_argument("--threads", type=int, default=1,
+                        help="parallel workers, one charge each")
     p_scan.add_argument("--charges", default=None,
                         help="comma-separated Z list (default: built-in grid)")
     p_scan.add_argument("--states", default="1s2s-1S,1s2s-3S",
@@ -140,8 +140,6 @@ def cmd_solve(args) -> int:
         payload = formats.solve_rows(report)[0]
         payload["spectrum"] = formats.spectrum_rows(report)
         formats.write_json(out / "state.json", payload)
-    if "svg" in fmts:
-        print("note: svg output applies to zscan only", file=sys.stderr)
     print(f"Z={report.config.z:g} {report.state}: "
           f"E = {report.energy:.7f} a.u., "
           f"S_L = {report.s_linear:.7f}, S_vN = {report.s_von_neumann:.7f}")
@@ -200,7 +198,10 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 for --help, 2 on misuse
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     handler = {
         "solve": cmd_solve,
         "converge": cmd_converge,

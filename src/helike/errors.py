@@ -25,15 +25,6 @@ class FactorizationError(HelikeError, RuntimeError):
     """Overlap matrix is not positive-definite; the basis is degenerate."""
 
 
-class AmbiguousStateError(HelikeError, RuntimeError):
-    """No eigenstate carries a dominant weight on the target configuration."""
-
-    def __init__(self, message, best_index=None, best_weight=None):
-        super().__init__(message)
-        self.best_index = best_index
-        self.best_weight = best_weight
-
-
 class NegativeEigenvalueError(HelikeError, RuntimeError):
     """A reduced-density-matrix eigenvalue is significantly negative."""
 

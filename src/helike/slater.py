@@ -89,7 +89,7 @@ class SlaterIntegralTable:
         mom_hi = prod * (w * r ** (-k - 1))
         cs_lo = mom_lo.reshape(*prod.shape[:2], n_cells, p).sum(axis=3)
         cs_hi = mom_hi.reshape(*prod.shape[:2], n_cells, p).sum(axis=3)
-        prefix = np.cumsum(cs_lo, axis=2) - cs_lo        # cells strictly left
+        prefix = np.cumsum(cs_lo, axis=2) - cs_lo        # cells left of it
         suffix = (np.cumsum(cs_hi[:, :, ::-1], axis=2)[:, :, ::-1] - cs_hi)
         # partially covered cell via sub-cell quadrature: one (b, s) @ (s, d)
         # product per outer point q, batched over q

@@ -15,7 +15,6 @@ from helike.ci import (
 )
 from helike.crosscheck import hamiltonian_msum
 from helike.errors import (
-    AmbiguousStateError,
     InconsistentInputError,
     InvalidParameterError,
     UnsupportedSymmetryError,
@@ -117,7 +116,7 @@ def test_select_state(toy):
     ground = select_state(spec, configs, "ground")
     assert ground.dominant == Configuration(1, 1, 0)
     assert ground.dominant_weight > 0.9
-    assert not ground.ambiguous
+    assert not ground.ambiguous and ground.selection == "overlap"
     excited = select_state(spec, configs, "1s2s")
     assert excited.energy > ground.energy
     with pytest.raises(InvalidParameterError):
@@ -134,15 +133,20 @@ def test_select_state_triplet_rules(toy):
     assert state.S == 1
 
 
-def test_ambiguous_strict_raises(toy):
+def test_select_state_energy_rank_fallback(toy):
     orbitals, slater = toy
-    configs = build_config_list(1, 3, 0, 0)
-    spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
-    # overwrite eigenvectors with a spread-out fake to force ambiguity
-    n = len(configs)
-    spec.eigenvectors = np.full((n, n), 1.0 / np.sqrt(n))
-    with pytest.raises(AmbiguousStateError):
-        select_state(spec, configs, "1s2s", strict=True)
+    for S, rank in ((0, 1), (1, 0)):
+        configs = build_config_list(1, 3, 0, S)
+        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+        # spread every eigenvector evenly so no overlap reaches 0.5
+        n = len(configs)
+        spec.eigenvectors = np.full((n, n), 1.0 / np.sqrt(n))
+        state = select_state(spec, configs, "1s2s")
+        assert state.ambiguous and state.selection == "energy-order"
+        assert state.energy == spec.eigenvalues[rank]
+        # the rank rule covers 1sns targets only
+        other = select_state(spec, configs, "2s3s")
+        assert other.ambiguous and other.selection == "overlap"
 
 
 def test_helium_energies_small_basis():

@@ -1,8 +1,6 @@
 """Command-line interface: verbs, outputs, exit codes."""
 import json
 
-import pytest
-
 from helike.cli import main
 from helike.formats import read_csv
 
@@ -74,7 +72,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key = 1\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
+    # argparse usage errors share the code; --threads and svg are zscan-only
+    assert run(["solve", "--lmax", "x"]) == 1
+    assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1
+    assert run(["converge", "--format", "svg", "--out", str(tmp_path)]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert run(["solve", "--help"]) == 0
+    assert "--escalate-box" in capsys.readouterr().out
 
 
 def test_selftest_fast(capsys):
@@ -84,5 +88,4 @@ def test_selftest_fast(capsys):
 
 
 def test_unknown_verb():
-    with pytest.raises(SystemExit):
-        run(["frobnicate"])
+    assert run(["frobnicate"]) == 1

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helike import pipeline
 from helike.errors import InvalidParameterError
 from helike.pipeline import (
+    SCAN_DEFAULTS,
     RunConfig,
+    build_context,
     count_interior_extrema,
     default_box_radius,
     default_scan_charges,
@@ -13,6 +16,7 @@ from helike.pipeline import (
     run_convergence,
     run_solve,
     run_zscan,
+    solve_in_context,
 )
 
 
@@ -107,7 +111,7 @@ def test_run_convergence_triplet_bound():
         assert row.s_linear >= 0.5 - 1e-12
 
 
-def test_run_zscan_rows_and_failures():
+def test_run_zscan_rows_and_failures(monkeypatch):
     scan = run_zscan(charges=[1.5, 2.0], states=["1s2s-3S"])
     assert [r.z for r in scan.rows] == [1.5, 2.0]
     assert scan.complete
@@ -118,6 +122,29 @@ def test_run_zscan_rows_and_failures():
     scan = run_zscan(charges=[0.5, 2.0], states=["1s2s-3S"])
     assert not scan.complete
     assert len(scan.rows) == 1 and len(scan.failures) == 1
+    # a failed context costs one failure per state; each charge builds one
+    # context and solves every state in it
+    built = []
+
+    def counting_build(config):
+        built.append(config.z)
+        return build_context(config)
+
+    monkeypatch.setattr(pipeline, "build_context", counting_build)
+    states = ["1s2s-1S", "1s2s-3S"]
+    scan = run_zscan(charges=[0.5, 2.0], states=states)
+    assert built == [0.5, 2.0]
+    assert [(z, s) for z, s, _ in scan.failures] == [(0.5, s) for s in states]
+    assert scan.failures[0][2] == scan.failures[1][2]
+    assert len(scan.rows) == len(states)
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
+    for row, s in zip(scan.rows, states):
+        report = solve_in_context(ctx, s)
+        assert row.state == s
+        assert (row.energy, row.s_linear, row.s_von_neumann,
+                row.dominant_weight, row.r_max, row.selection) == \
+            (report.energy, report.s_linear, report.s_von_neumann,
+             report.dominant_weight, report.config.r_max, report.selection)
 
 
 def test_default_scan_charges():
