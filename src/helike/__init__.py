@@ -14,7 +14,6 @@ from .ci import (
     Spectrum,
     assemble_hamiltonian,
     build_config_list,
-    config_count,
     diagonalize,
     select_state,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "assemble_hamiltonian",
     "build_config_list",
     "build_orbital_set",
-    "config_count",
     "count_interior_extrema",
     "default_box_radius",
     "default_scan_charges",

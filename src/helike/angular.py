@@ -1,15 +1,14 @@
-"""Wigner 3-j / 6-j symbols and two-electron angular coupling factors.
+"""Wigner 3-j algebra for the brute-force oracle in crosscheck.py.
 
-Symbols are evaluated from the Racah closed forms with exact integer /
-rational arithmetic (python ints and fractions.Fraction); the only rounding
-is the final square root.  Angular momenta are passed as floats or ints and
-may be half-integral; internally everything is carried as doubled integers.
-
-The multipole coupling factor for the electron repulsion between coupled
-two-electron states is expressed through reduced matrix elements of the
-spherical tensor C^k and one 6-j symbol.  A brute-force magnetic-quantum-
-number summation over the Clebsch-Gordan expansion of the same states lives
-in crosscheck.py and pins the phase conventions used here.
+Only crosscheck.py and selftest.py (through crosscheck) use this module;
+production CI takes its angular factor from the L = 0 closed form in
+ci.coupling_coefficient and shares no code with it.  Here 3-j symbols,
+Clebsch-Gordan coefficients, reduced matrix elements of C^k and the
+determinant expansion of coupled two-electron states are evaluated from
+the Racah closed forms with exact integer / rational arithmetic (python
+ints and fractions.Fraction); the only rounding is the final square root.
+Angular momenta are passed as floats or ints and may be half-integral;
+internally everything is carried as doubled integers.
 """
 from __future__ import annotations
 
@@ -101,55 +100,6 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     return _wigner_3j_doubled(*tj, *tm)
 
 
-@lru_cache(maxsize=100000)
-def _wigner_6j_doubled(tj1, tj2, tj3, tj4, tj5, tj6) -> float:
-    triads = (
-        (tj1, tj2, tj3),
-        (tj1, tj5, tj6),
-        (tj4, tj2, tj6),
-        (tj4, tj5, tj3),
-    )
-    for tr in triads:
-        if not _triangle_ok(*tr):
-            return 0.0
-
-    def tri_frac(ta, tb, tc) -> Fraction:
-        return Fraction(
-            _fact((ta + tb - tc) // 2)
-            * _fact((ta - tb + tc) // 2)
-            * _fact((-ta + tb + tc) // 2),
-            _fact((ta + tb + tc) // 2 + 1),
-        )
-
-    radicand = Fraction(1)
-    for tr in triads:
-        radicand *= tri_frac(*tr)
-    f1 = (tj1 + tj2 + tj3) // 2
-    f2 = (tj1 + tj5 + tj6) // 2
-    f3 = (tj4 + tj2 + tj6) // 2
-    f4 = (tj4 + tj5 + tj3) // 2
-    g1 = (tj1 + tj2 + tj4 + tj5) // 2
-    g2 = (tj2 + tj3 + tj5 + tj6) // 2
-    g3 = (tj3 + tj1 + tj6 + tj4) // 2
-    acc = Fraction(0)
-    for t in range(max(f1, f2, f3, f4), min(g1, g2, g3) + 1):
-        num = _fact(t + 1)
-        den = (
-            _fact(t - f1) * _fact(t - f2) * _fact(t - f3) * _fact(t - f4)
-            * _fact(g1 - t) * _fact(g2 - t) * _fact(g3 - t)
-        )
-        acc += Fraction((-1) ** t * num, den)
-    return _sqrt_signed(acc, radicand)
-
-
-def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Wigner 6-j symbol {j1 j2 j3; j4 j5 j6}; zero on any failed triad."""
-    tj = [_two_j(j) for j in (j1, j2, j3, j4, j5, j6)]
-    if any(j < 0 for j in tj):
-        raise InvalidQuantumNumberError("angular momenta must be non-negative")
-    return _wigner_6j_doubled(*tj)
-
-
 def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     """<j1 m1 j2 m2 | j m> via the 3-j symbol."""
     if m1 + m2 != m:
@@ -169,44 +119,6 @@ def reduced_ck(l, k, lp) -> float:
         * math.sqrt((2 * l + 1) * (2 * lp + 1))
         * wigner_3j(l, k, lp, 0, 0, 0)
     )
-
-
-@lru_cache(maxsize=None)
-def coupling_coefficient(l1, l2, l3, l4, L, k) -> float:
-    """Angular factor c_k multiplying the rank-k Slater integral.
-
-    c_k = <(l1 l2) L | C^k(1) . C^k(2) | (l3 l4) L>, the matrix element of
-    the multipole operator between coupled (not antisymmetrized) product
-    states, with the radial factor r_<^k / r_>^{k+1} stripped off:
-
-        c_k = (-1)^(l2 + l3 + L) {l1 l2 L; l4 l3 k}
-              <l1||C^k||l3> <l2||C^k||l4>
-
-    Independent of M_L (Wigner-Eckart).  Vanishes unless l1+l3+k and
-    l2+l4+k are even and all triangle rules hold.
-    """
-    for (la, lb) in ((l1, l2), (l3, l4)):
-        if not (abs(la - lb) <= L <= la + lb):
-            raise InvalidCouplingError(
-                f"orbital pair ({la},{lb}) cannot couple to L={L}"
-            )
-    if k < 0:
-        raise InvalidCouplingError(f"multipole rank k={k} must be >= 0")
-    phase = (-1.0) ** ((l2 + l3 + L) % 2)
-    return (
-        phase
-        * wigner_6j(l1, l2, L, l4, l3, k)
-        * reduced_ck(l1, k, l3)
-        * reduced_ck(l2, k, l4)
-    )
-
-
-def multipole_ranks(l1, l2, l3, l4):
-    """Sorted ranks k with nonzero c_k by triangle and parity selection."""
-    lo = max(abs(l1 - l3), abs(l2 - l4))
-    hi = min(l1 + l3, l2 + l4)
-    return [k for k in range(lo, hi + 1) if (l1 + l3 + k) % 2 == 0
-            and (l2 + l4 + k) % 2 == 0]
 
 
 def csf_expand(n1, l1, n2, l2, L, ML, S, MS):

@@ -36,6 +36,8 @@ class KnotSequence:
         k = self.order
         if k < 2:
             raise InvalidParameterError(f"order must be >= 2, got {k}")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidParameterError("knot points must be finite")
         if np.any(np.diff(pts) < 0):
             raise InvalidParameterError("knot points must be non-decreasing")
         if not (np.all(pts[:k] == pts[0]) and np.all(pts[-k:] == pts[-1])):
@@ -84,6 +86,9 @@ def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
     if grid == "linear":
         interior = r_max * x[1:-1]
     elif grid == "exponential":
+        if gamma == 0:
+            raise InvalidParameterError("gamma must be nonzero on the "
+                                        "exponential grid")
         interior = r_max * np.expm1(gamma * x[1:-1]) / np.expm1(gamma)
     else:
         raise InvalidParameterError(f"unknown grid spec {grid!r}")

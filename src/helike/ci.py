@@ -1,31 +1,30 @@
 """Two-electron configuration interaction for S states (L = 0).
 
 Configurations are orbital pairs (n1 l, n2 l) coupled to L = 0 (which forces
-l1 = l2) with spin S = 0 or 1.  The Hamiltonian over the normalized
-antisymmetrized configuration state functions is
+l1 = l2) with spin S = 0 or 1; L = 0 is the only symmetry this module knows.
+The Hamiltonian over the normalized antisymmetrized configuration state
+functions is
 
     H[(ab),(cd)] = delta * (e_a + e_b)
       + f_ab f_cd sum_k c_k(la, lc) [ R^k(ab, cd) + (-1)^S R^k(ab, dc) ]
 
 with f_ab = 1/sqrt(1 + delta_ab) carrying the same-orbital singlet 1/sqrt(2)
-normalization, c_k the angular factor from angular.coupling_coefficient, and
-the (-1)^S exchange sign fixed against the brute-force magnetic-quantum-
-number oracle in crosscheck.py.
+normalization and c_k the L = 0 closed form of coupling_coefficient.  The
+angular factor and the (-1)^S exchange sign are fixed against the
+brute-force magnetic-quantum-number oracle in crosscheck.py, which shares
+no angular code with this module.
 """
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .angular import coupling_coefficient, multipole_ranks
-from .errors import (
-    InconsistentInputError,
-    InvalidParameterError,
-    UnsupportedSymmetryError,
-)
+from .errors import InconsistentInputError, InvalidParameterError
 from .orbitals import RadialOrbitalSet
 from .slater import SlaterIntegralTable
 
@@ -49,11 +48,10 @@ class Configuration:
 
 @dataclass
 class ConfigList:
-    """Deterministically ordered configurations for one (L, S, l_max, n_max)."""
+    """Deterministically ordered configurations for one (S, l_max, n_max)."""
 
     l_max: int
     n_max: int
-    L: int
     S: int
     configs: list[Configuration] = field(default_factory=list)
 
@@ -80,17 +78,12 @@ class ConfigList:
         return out
 
 
-def build_config_list(l_max: int, n_max: int, L: int = 0,
-                      S: int = 0) -> ConfigList:
+def build_config_list(l_max: int, n_max: int, S: int) -> ConfigList:
     """All Pauli-allowed (n1 l, n2 l) pairs with l <= l_max, n <= n_max.
 
     Ordered by l, then n1, then n2.  Singlets include same-orbital pairs
     (n1 = n2); triplets require n1 < n2.
     """
-    if L != 0:
-        raise UnsupportedSymmetryError(
-            f"only L = 0 configuration lists are implemented, got L={L}"
-        )
     if S not in (0, 1):
         raise InvalidParameterError(f"S must be 0 or 1, got {S}")
     if l_max < 0 or n_max <= l_max:
@@ -104,16 +97,38 @@ def build_config_list(l_max: int, n_max: int, L: int = 0,
             start = n1 if S == 0 else n1 + 1
             for n2 in range(start, n_max + 1):
                 configs.append(Configuration(n1, n2, l))
-    return ConfigList(l_max=l_max, n_max=n_max, L=L, S=S, configs=configs)
+    return ConfigList(l_max=l_max, n_max=n_max, S=S, configs=configs)
 
 
-def config_count(l_max: int, n_max: int, S: int) -> int:
-    """Closed-form size of build_config_list for L = 0."""
-    total = 0
-    for l in range(l_max + 1):
-        m = n_max - l
-        total += m * (m + 1) // 2 if S == 0 else m * (m - 1) // 2
-    return total
+@lru_cache(maxsize=None)
+def coupling_coefficient(l: int, lp: int, k: int) -> float:
+    """Angular factor c_k multiplying R^k between (l l) and (l' l') at L = 0.
+
+    With L = 0 the 6-j symbol of the general recoupling formula has a zero
+    argument, {l l 0; l' l' k} = (-1)^(l + l' + k) / sqrt((2l+1)(2l'+1))
+    (Edmonds, Angular Momentum in Quantum Mechanics, eq. 6.3.2), so
+
+        c_k = (-1)^k sqrt((2l+1)(2l'+1)) (l k l'; 0 0 0)^2.
+
+    The squared 3-j symbol q is an exact Fraction from the m = 0 Racah
+    closed form (J = l + k + l' even, g = J/2); q^2 (2l+1)(2l'+1) is rounded
+    to a float once before the square root, so c_0(l, l) is exactly 1 and
+    every factor is within one ulp of its exact value.  Zero unless J is
+    even and |l - l'| <= k <= l + l'.
+    """
+    J = l + k + lp
+    if J % 2 or not abs(l - lp) <= k <= l + lp:
+        return 0.0
+    g = J // 2
+    f = math.factorial
+    q = (Fraction(f(J - 2 * l) * f(J - 2 * k) * f(J - 2 * lp), f(J + 1))
+         * Fraction(f(g), f(g - l) * f(g - k) * f(g - lp)) ** 2)
+    return (-1) ** k * math.sqrt(q * q * (2 * l + 1) * (2 * lp + 1))
+
+
+def multipole_ranks(l: int, lp: int) -> range:
+    """Ranks k with nonzero c_k(l, l'): triangle and parity selection."""
+    return range(abs(l - lp), l + lp + 1, 2)
 
 
 MEMORY_BUDGET_BYTES = 4 << 30
@@ -161,10 +176,8 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
             D = np.array([c.n2 - lc - 1 for c in cfg_c])
             f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
             block = np.zeros((len(cfg_a), len(cfg_c)))
-            for k in multipole_ranks(la, la, lc, lc):
-                ck = coupling_coefficient(la, la, lc, lc, 0, k)
-                if ck == 0.0:
-                    continue
+            for k in multipole_ranks(la, lc):
+                ck = coupling_coefficient(la, lc, k)
                 G = slater.rank_block(k, la, lc)
                 direct = G[A[:, None], C[None, :], B[:, None], D[None, :]]
                 exch = G[A[:, None], D[None, :], B[:, None], C[None, :]]
@@ -217,38 +230,22 @@ class CIState:
     selection: str = "overlap"   # or "energy-order" (1sns rank fallback)
 
 
-_LABEL_RE = re.compile(r"^(\d+)s(\d+)s$")
-
-
-def parse_state_label(label: str) -> tuple[int, int]:
-    """'1s2s' -> (1, 2); '1s2' and '1s1s' both mean the ground pair (1, 1)."""
-    text = label.strip().lower()
-    if text in ("ground", "1s2", "1s^2"):
-        return (1, 1)
-    m = _LABEL_RE.match(text)
-    if not m:
-        raise InvalidParameterError(f"cannot parse state label {label!r}")
-    n1, n2 = sorted((int(m.group(1)), int(m.group(2))))
-    return (n1, n2)
-
-
 def select_state(spectrum: Spectrum, configs: ConfigList,
-                 target: str) -> CIState:
-    """Eigenstate with maximal squared overlap on the target configuration.
+                 pair: tuple[int, int]) -> CIState:
+    """Eigenstate with maximal squared overlap on the (n1 s, n2 s) pair.
 
-    target is an (n1, n2) s-pair label such as '1s2s' or '1s2' (ground).
-    When the best weight falls below 0.5 the state is flagged ambiguous:
-    near the critical charge the physical state mixes with the discretized
+    pair is an ordered s-pair (n1 <= n2) such as (1, 2), or (1, 1) for the
+    ground configuration; a pair outside the configuration list (including
+    a same-orbital pair in a triplet list) is rejected.  When the best
+    weight falls below 0.5 the state is flagged ambiguous: near the
+    critical charge the physical state mixes with the discretized
     continuum.  For 1sns targets the energy order is still reliable (the
     Hylleraas-Undheim-MacDonald bound makes the physical state the
     (n - 1 - S)-th eigenvalue), so an ambiguous 1sns pick takes that rank
     instead and records selection = 'energy-order'.
     """
-    n1, n2 = parse_state_label(target)
-    if configs.S == 1 and n1 == n2:
-        raise InvalidParameterError(
-            f"{target!r} does not exist as a triplet (Pauli-forbidden)"
-        )
+    n1, n2 = pair
+    target = f"{n1}s{n2}s"
     try:
         row = configs.index(n1, n2, 0)
     except ValueError:

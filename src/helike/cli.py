@@ -170,7 +170,7 @@ def cmd_converge(args) -> int:
 
 def cmd_zscan(args) -> int:
     config = _run_config(args, defaults=dict(pipeline.SCAN_DEFAULTS))
-    charges = _parse_floats(args.charges) if args.charges else None
+    charges = None if args.charges is None else _parse_floats(args.charges)
     states = [s.strip() for s in args.states.split(",") if s.strip()]
     result = pipeline.run_zscan(config, charges=charges, states=states,
                                 escalate_box=args.escalate_box,

@@ -122,14 +122,14 @@ def csf_determinants(cfg, L, ML, S, MS):
 
 def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
                      slater: SlaterIntegralTable, ML=0, MS=0) -> np.ndarray:
-    """CI Hamiltonian from the raw Slater-determinant expansion.
+    """L = 0 CI Hamiltonian from the raw Slater-determinant expansion.
 
     Every CSF is expanded over determinants, every determinant over signed
     spin-orbital products, and the operator is contracted term by term.
     O(everything); for toy bases only.
     """
     expansions = [
-        csf_determinants(cfg, configs.L, ML, configs.S, MS)
+        csf_determinants(cfg, 0, ML, configs.S, MS)
         for cfg in configs
     ]
     n = len(configs)

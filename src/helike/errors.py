@@ -17,10 +17,6 @@ class InvalidCouplingError(HelikeError, ValueError):
     """The requested orbital pair cannot couple to the requested L or S."""
 
 
-class UnsupportedSymmetryError(HelikeError, NotImplementedError):
-    """Requested (L, S) symmetry is reserved but not implemented (L > 0)."""
-
-
 class FactorizationError(HelikeError, RuntimeError):
     """Overlap matrix is not positive-definite; the basis is degenerate."""
 

@@ -10,6 +10,7 @@ never let one failed row abort the rest.
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,6 @@ from .ci import (
     build_config_list,
     assemble_hamiltonian,
     diagonalize,
-    parse_state_label,
     select_state,
 )
 from .entanglement import (
@@ -65,11 +65,12 @@ def default_gamma(r_max: float) -> float:
 
 
 def parse_state(text: str) -> tuple[tuple[int, int], int]:
-    """Parse a state spec like '1s2s-3S' into ((n1, n2), S).
+    """Parse a state spec like '1s2s-3S' into ((n1, n2), S) with n1 <= n2.
 
-    The label part follows ci.parse_state_label; the optional suffix after
-    '-', '_' or '^' picks the spin term (1S singlet, 3S triplet; default
-    singlet).  'ground' means the 1s^2 singlet.
+    The label is an s-pair 'NsMs' in either order, or '1s2' / 'ground' for
+    the 1s^2 pair; the optional suffix after '-', '_' or '^' picks the spin
+    term (1S singlet, 3S triplet; default singlet).  A same-orbital triplet
+    is Pauli-forbidden and rejected here.
     """
     text = text.strip()
     spin = 0
@@ -86,7 +87,14 @@ def parse_state(text: str) -> tuple[tuple[int, int], int]:
             break
     else:
         label = text
-    pair = parse_state_label(label)
+    label = label.strip().lower()
+    m = re.fullmatch(r"(\d+)s(\d+)s", label)
+    if label in ("ground", "1s2"):
+        pair = (1, 1)
+    elif m:
+        pair = tuple(sorted((int(m.group(1)), int(m.group(2)))))
+    else:
+        raise InvalidParameterError(f"cannot parse state label {label!r}")
     if spin == 1 and pair[0] == pair[1]:
         raise InvalidParameterError(
             f"{text!r}: same-orbital triplet is Pauli-forbidden"
@@ -164,7 +172,7 @@ class PipelineContext:
     def spectrum(self, spin: int) -> tuple[ConfigList, Spectrum]:
         if spin not in self.spectra:
             cfgs = build_config_list(self.config.l_max, self.config.n_max,
-                                     0, spin)
+                                     spin)
             H = assemble_hamiltonian(cfgs, self.orbitals, self.slater)
             self.spectra[spin] = (cfgs, diagonalize(H))
         return self.spectra[spin]
@@ -209,7 +217,7 @@ class StateReport:
 def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
     pair, spin = parse_state(state_text)
     cfgs, spec = ctx.spectrum(spin)
-    state = select_state(spec, cfgs, f"{pair[0]}s{pair[1]}s")
+    state = select_state(spec, cfgs, pair)
     rdm = state_spectrum(state, cfgs)
     s_l = linear_entropy(rdm)
     s_vn = von_neumann_entropy(rdm)
@@ -297,7 +305,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     big = replace(config, l_max=l_values[-1], n_max=n_values[-1])
     ctx = build_context(big)
     pair, spin = parse_state(config.state)
-    cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, 0, spin)
+    cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     H = assemble_hamiltonian(cfgs, ctx.orbitals, ctx.slater)
     rows = []
     for l_cut in l_values:
@@ -308,21 +316,14 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
                 i for i, c in enumerate(cfgs)
                 if c.l <= l_cut and c.n2 <= n_cut
             ])
-            sub = ConfigList(
-                l_max=l_cut, n_max=n_cut, L=0, S=spin,
-                configs=[cfgs[i] for i in keep],
-            )
-            spec = diagonalize(H[np.ix_(keep, keep)])
-            sub_ctx = PipelineContext(
-                config=replace(ctx.config, l_max=l_cut, n_max=n_cut),
-                basis=ctx.basis, orbitals=ctx.orbitals, slater=ctx.slater,
-                spectra={spin: (sub, spec)},
-            )
-            report = solve_in_context(sub_ctx, config.state)
+            sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
+                             configs=[cfgs[i] for i in keep])
+            state = select_state(diagonalize(H[np.ix_(keep, keep)]), sub, pair)
+            rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
-                l_max=l_cut, n_max=n_cut, energy=report.energy,
-                s_linear=report.s_linear,
-                s_von_neumann=report.s_von_neumann,
+                l_max=l_cut, n_max=n_cut, energy=state.energy,
+                s_linear=linear_entropy(rdm),
+                s_von_neumann=von_neumann_entropy(rdm),
             ))
     return ConvergenceResult(config=big.resolve(), rows=rows)
 
@@ -382,10 +383,17 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
     doubling check of _solve_with_box on top.  Rows come back ordered by Z
     then state; failed (Z, state) pairs are collected in .failures instead
     of aborting the scan, one per state when the charge's context fails.
+    charges=None / states=None mean the default grid and both 1s2s terms;
+    an empty list is an InvalidParameterError.
     """
     base = config or RunConfig(**SCAN_DEFAULTS)
-    charges = sorted(set(float(z) for z in (charges or default_scan_charges())))
-    states = list(states or ["1s2s-1S", "1s2s-3S"])
+    if charges is None:
+        charges = default_scan_charges()
+    charges = sorted(set(float(z) for z in charges))
+    states = ["1s2s-1S", "1s2s-3S"] if states is None else list(states)
+    if not charges or not states:
+        raise InvalidParameterError("a scan needs at least one charge and "
+                                    "one state")
     for s in states:
         parse_state(s)
 

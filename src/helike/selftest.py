@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angular import coupling_coefficient
 from .bspline import BSplineBasis, make_knots
-from .ci import build_config_list, assemble_hamiltonian, diagonalize, CIState
+from .ci import (CIState, assemble_hamiltonian, build_config_list,
+                 coupling_coefficient, diagonalize)
 from .crosscheck import (
     coupling_coefficient_msum,
     hamiltonian_msum,
@@ -81,7 +81,7 @@ def check_coupling_coefficients(l_cut=4, k_cut=8) -> float:
     for l in range(l_cut + 1):
         for lp in range(l_cut + 1):
             for k in range(k_cut + 1):
-                a = coupling_coefficient(l, l, lp, lp, 0, k)
+                a = coupling_coefficient(l, lp, k)
                 b = coupling_coefficient_msum(l, l, lp, lp, 0, k)
                 worst = max(worst, abs(a - b))
     return worst
@@ -92,7 +92,7 @@ def check_toy_hamiltonian() -> float:
     orbitals, slater = _toy_context()
     worst = 0.0
     for S in (0, 1):
-        configs = build_config_list(1, 3, 0, S)
+        configs = build_config_list(1, 3, S)
         fast = assemble_hamiltonian(configs, orbitals, slater)
         slow = hamiltonian_msum(configs, orbitals, slater)
         worst = max(worst, float(np.abs(fast - slow).max()))
@@ -103,7 +103,7 @@ def _toy_states():
     orbitals, slater = _toy_context()
     out = []
     for S in (0, 1):
-        configs = build_config_list(1, 3, 0, S)
+        configs = build_config_list(1, 3, S)
         spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
         for idx in range(min(3, len(configs))):
             vec = spec.eigenvectors[:, idx]

@@ -95,8 +95,8 @@ def test_04_helium_like_ions():
 
 
 def test_05_configuration_counts():
-    assert len(build_config_list(6, 40, 0, 0)) == 4935
-    assert len(build_config_list(6, 40, 0, 1)) == 4676
+    assert len(build_config_list(6, 40, 0)) == 4935
+    assert len(build_config_list(6, 40, 1)) == 4676
 
 
 def test_06_critical_charge_behavior(zscan):

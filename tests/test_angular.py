@@ -2,30 +2,20 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from sympy import Rational
+from sympy import N, Rational, sqrt
 from sympy.physics.wigner import wigner_3j as sympy_3j
-from sympy.physics.wigner import wigner_6j as sympy_6j
 
 from helike.angular import (
     clebsch_gordan,
-    coupling_coefficient,
     csf_expand,
-    multipole_ranks,
     reduced_ck,
     wigner_3j,
-    wigner_6j,
 )
+from helike.ci import coupling_coefficient, multipole_ranks
 from helike.crosscheck import coupling_coefficient_msum
 from helike.errors import InvalidCouplingError, InvalidQuantumNumberError
 
 RNG = np.random.default_rng(1859)
-
-
-def _sympy_6j_or_zero(args):
-    try:
-        return float(sympy_6j(*args))
-    except ValueError:
-        return 0.0
 
 
 def test_3j_exhaustive_small():
@@ -57,12 +47,6 @@ def test_3j_half_integer_sample():
         assert_allclose(wigner_3j(float(j1), float(j2), float(j3),
                                   float(m1), float(m2), float(m3)),
                         ref, atol=1e-14)
-
-
-def test_6j_exhaustive_small():
-    for vals in np.ndindex(3, 3, 3, 3, 3, 3):
-        ref = _sympy_6j_or_zero(vals)
-        assert_allclose(wigner_6j(*vals), ref, atol=1e-15)
 
 
 def test_3j_orthogonality():
@@ -105,19 +89,41 @@ def test_reduced_ck_diagonal_zero_rank():
 
 
 def test_multipole_ranks_parity_and_triangle():
-    assert multipole_ranks(1, 1, 1, 1) == [0, 2]
-    assert multipole_ranks(0, 0, 1, 1) == [1]
-    assert multipole_ranks(0, 0, 0, 0) == [0]
-    assert multipole_ranks(2, 2, 2, 2) == [0, 2, 4]
+    assert list(multipole_ranks(1, 1)) == [0, 2]
+    assert list(multipole_ranks(0, 1)) == [1]
+    assert list(multipole_ranks(0, 0)) == [0]
+    assert list(multipole_ranks(2, 2)) == [0, 2, 4]
+    assert list(multipole_ranks(3, 1)) == [2, 4]
+    for l in range(5):
+        for lp in range(5):
+            nonzero = [k for k in range(12)
+                       if coupling_coefficient(l, lp, k) != 0.0]
+            assert nonzero == list(multipole_ranks(l, lp))
 
 
 def test_coupling_coefficient_vs_magnetic_sum():
     for l in range(5):
         for lp in range(5):
             for k in range(9):
-                fast = coupling_coefficient(l, l, lp, lp, 0, k)
+                fast = coupling_coefficient(l, lp, k)
                 slow = coupling_coefficient_msum(l, l, lp, lp, 0, k)
                 assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_coupling_coefficient_exact():
+    # the monopole factor between equal l is exactly 1: no rounding leaks
+    # into the diagonal Coulomb terms
+    for l in range(8):
+        assert coupling_coefficient(l, l, 0) == 1.0
+    # every factor is the exact value rounded, to within one ulp
+    for l in range(7):
+        for lp in range(7):
+            for k in range(l + lp + 2):
+                exact = ((-1) ** k * sqrt((2 * l + 1) * (2 * lp + 1))
+                         * sympy_3j(l, k, lp, 0, 0, 0) ** 2)
+                ref = float(N(exact, 40))
+                got = coupling_coefficient(l, lp, k)
+                assert abs(got - ref) <= np.spacing(abs(ref)), (l, lp, k)
 
 
 def test_csf_expansion_normalized():

@@ -111,13 +111,20 @@ def test_invalid_parameters():
         make_knots(10.0, 10, 6, grid="cubic")
     with pytest.raises(InvalidParameterError):
         KnotSequence(np.array([0.0, 5.0, 10.0]), 1)   # no order-0 row
+    with pytest.raises(InvalidParameterError):
+        make_knots(10.0, 10, 6, gamma=0.0)   # 0/0 on the exponential grid
+    with pytest.raises(InvalidParameterError):
+        KnotSequence(np.array([0.0, 0.0, np.nan, 10.0, 10.0]), 2)
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate would add about 0.4 s and 20 MiB to every start-up
-    # (measured on a 2-vCPU host); evaluation is numpy only
+    # (measured on a 2-vCPU host); evaluation is numpy only.  The oracle
+    # modules and sympy stay out of production imports too.
     src = str(Path(helike.__file__).resolve().parents[1])
+    unloaded = ("scipy.interpolate", "helike.angular", "helike.crosscheck",
+                "helike.selftest", "sympy")
     code = (f"import sys; sys.path.insert(0, {src!r}); import helike; "
-            "sys.exit('scipy.interpolate' in sys.modules)")
+            f"sys.exit(any(m in sys.modules for m in {unloaded!r}))")
     done = subprocess.run([sys.executable, "-c", code], timeout=120)
     assert done.returncode == 0

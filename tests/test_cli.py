@@ -72,6 +72,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key = 1\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    # gamma = 0 would put NaN knots on the exponential grid
+    cfg.write_text("gamma = 0\n")
+    assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert run(["zscan", "--charges", ",", "--out", str(tmp_path)]) == 1
     # argparse usage errors share the code; --threads and svg are zscan-only
     assert run(["solve", "--lmax", "x"]) == 1
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1

@@ -26,10 +26,14 @@ def test_parse_state():
     assert parse_state("1s2s") == ((1, 2), 0)
     assert parse_state("ground") == ((1, 1), 0)
     assert parse_state("1s3s^triplet") == ((1, 3), 1)
+    assert parse_state("2s1s-3S") == ((1, 2), 1)
+    assert parse_state("1s2") == ((1, 1), 0)
     with pytest.raises(InvalidParameterError):
         parse_state("1s1s-3S")
     with pytest.raises(InvalidParameterError):
         parse_state("1s2s-5S")
+    with pytest.raises(InvalidParameterError):
+        parse_state("1s2p")
 
 
 def test_box_radius_policy():
@@ -118,6 +122,11 @@ def test_run_zscan_rows_and_failures(monkeypatch):
     inv_z, s_l, s_vn = scan.series("1s2s-3S")
     assert np.all(np.diff(inv_z) > 0)
     assert np.all(s_l >= 0.5)
+    # an empty list is an error, not the default grid or states
+    with pytest.raises(InvalidParameterError):
+        run_zscan(charges=[])
+    with pytest.raises(InvalidParameterError):
+        run_zscan(charges=[2.0], states=[])
     # a bad charge is recorded, not fatal
     scan = run_zscan(charges=[0.5, 2.0], states=["1s2s-3S"])
     assert not scan.complete
