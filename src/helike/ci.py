@@ -48,7 +48,11 @@ class Configuration:
 
 @dataclass
 class ConfigList:
-    """Deterministically ordered configurations for one (S, l_max, n_max)."""
+    """Deterministically ordered configurations for one (S, l_max, n_max).
+
+    blocks() is the one map from rows to radial indices; the CI assembly
+    and the reduced density matrix both read it.
+    """
 
     l_max: int
     n_max: int
@@ -67,15 +71,17 @@ class ConfigList:
     def index(self, n1: int, n2: int, l: int) -> int:
         return self.configs.index(Configuration(min(n1, n2), max(n1, n2), l))
 
-    def block_slices(self) -> dict[int, slice]:
-        """Contiguous index range per l (configs are ordered by l)."""
-        out = {}
-        start = 0
-        for l in range(self.l_max + 1):
-            count = sum(1 for c in self.configs if c.l == l)
-            out[l] = slice(start, start + count)
-            start += count
-        return out
+    def blocks(self) -> dict[int, tuple[slice, np.ndarray, np.ndarray]]:
+        """{l: (rows, i, j)} for every l <= l_max, empty blocks included.
+
+        rows is the contiguous slice of l's configurations (ordered by l);
+        i = n1 - l - 1 and j = n2 - l - 1 are int arrays, built in one pass.
+        """
+        lij = np.array([(c.l, c.n1 - c.l - 1, c.n2 - c.l - 1)
+                        for c in self.configs], dtype=int).reshape(-1, 3)
+        bounds = np.searchsorted(lij[:, 0], np.arange(self.l_max + 2))
+        rows = [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+        return {l: (r, lij[r, 1], lij[r, 2]) for l, r in enumerate(rows)}
 
 
 def build_config_list(l_max: int, n_max: int, S: int) -> ConfigList:
@@ -147,7 +153,8 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
     # configurations): the R^k block G with its symmetrized copy, and the
     # direct/exchange gathers, their weighted sum and the block they fill.
     n_orb = orbitals.orbitals(0).n_orbitals
-    n_cfg = configs.block_slices()[0].stop
+    blocks = configs.blocks()
+    n_cfg = blocks[0][0].stop
     need = 8 * (n * n + 2 * n_orb**4 + 4 * n_cfg**2)
     if need > memory_budget:
         raise MemoryError(
@@ -155,27 +162,18 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
             f"largest R^k block {8 * n_orb**4} held twice, gathers "
             f"{32 * n_cfg**2} (budget {memory_budget}); reduce l_max/n_max"
         )
-    S = configs.S
     H = np.zeros((n, n))
-    slices = configs.block_slices()
-    xsign = -1.0 if S == 1 else 1.0
-    for la in range(configs.l_max + 1):
-        rows = slices[la]
-        cfg_a = configs.configs[rows]
-        if not cfg_a:
+    xsign = -1.0 if configs.S == 1 else 1.0
+    for la, (rows, A, B) in blocks.items():
+        if not len(A):
             continue
-        A = np.array([c.n1 - la - 1 for c in cfg_a])
-        B = np.array([c.n2 - la - 1 for c in cfg_a])
         f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
         for lc in range(la, configs.l_max + 1):
-            cols = slices[lc]
-            cfg_c = configs.configs[cols]
-            if not cfg_c:
+            cols, C, D = blocks[lc]
+            if not len(C):
                 continue
-            C = np.array([c.n1 - lc - 1 for c in cfg_c])
-            D = np.array([c.n2 - lc - 1 for c in cfg_c])
             f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
-            block = np.zeros((len(cfg_a), len(cfg_c)))
+            block = np.zeros((len(A), len(C)))
             for k in multipole_ranks(la, lc):
                 ck = coupling_coefficient(la, lc, k)
                 G = slater.rank_block(k, la, lc)

@@ -41,13 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, choices=("csv", "json")):
+    def common(p, choices=("csv", "json"), state=True):
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
         p.add_argument("--z", type=float, default=None,
                        help="nuclear charge")
-        p.add_argument("--state", default=None,
-                       help="state spec, e.g. 1s2-1S, 1s2s-3S, ground")
+        if state:
+            p.add_argument("--state", default=None,
+                           help="state spec, e.g. 1s2-1S, 1s2s-3S, ground")
         p.add_argument("--lmax", type=int, default=None,
                        help="largest orbital angular momentum in the CI")
         p.add_argument("--nmax", type=int, default=None,
@@ -75,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--nvalues", default="5,10,15,20,25",
                         help="comma-separated n_max row values")
 
-    p_scan = sub.add_parser("zscan",
+    # no prefix matching: --state must not pass for --states
+    p_scan = sub.add_parser("zscan", allow_abbrev=False,
                             help="scan nuclear charge down to Z = 1")
-    common(p_scan, choices=("csv", "json", "svg"))
+    common(p_scan, choices=("csv", "json", "svg"), state=False)
     p_scan.add_argument("--threads", type=int, default=1,
                         help="parallel workers, one charge each")
     p_scan.add_argument("--charges", default=None,
@@ -101,7 +103,7 @@ def _run_config(args, defaults: dict | None = None) -> pipeline.RunConfig:
     for key, attr in (("z", "z"), ("state", "state"), ("l_max", "lmax"),
                       ("n_max", "nmax"), ("r_max", "rmax"),
                       ("order", "order")):
-        value = getattr(args, attr)
+        value = getattr(args, attr, None)
         if value is not None:
             overrides[key] = value
     return formats.config_from_sources(file_values, overrides)
@@ -181,7 +183,7 @@ def cmd_zscan(args) -> int:
                           formats.scan_rows(result))
     if "json" in fmts:
         formats.write_json(out / "zscan.json", result)
-    if "svg" in fmts:
+    if "svg" in fmts and result.rows:
         formats.write_scan_svg(out / "zscan_linear.svg", result, "s_linear")
         formats.write_scan_svg(out / "zscan_von_neumann.svg", result,
                                "s_von_neumann")

@@ -1,15 +1,17 @@
 """One-particle reduced density matrix and entanglement entropies.
 
 For an L = 0 CI state the RDM is block-diagonal in (l, m) with identical
-blocks for every m, so the spatial coefficients are folded into one square
-matrix per l (symmetric for singlets, antisymmetric for triplets) and each
-occupation eigenvalue carries degeneracy 2l+1.  The explicit m-resolved
-construction is kept in crosscheck.py as the test oracle for this folding.
+blocks for every m, so reduced_density_matrix folds the CI vector, block
+by block along ConfigList.blocks(), into one square pair-coefficient matrix
+C^l per l (symmetric for singlets, antisymmetric for triplets) and returns
+rho^l = C^l (C^l)^T / (2l+1); each occupation eigenvalue carries
+degeneracy 2l+1.  The explicit m-resolved construction is kept in
+crosscheck.py as the test oracle for this fold.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +27,17 @@ CLAMP_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-@dataclass
-class CoefficientBlocks:
-    """Per-l radial coefficient matrices of one CI state.
+def reduced_density_matrix(state: CIState,
+                           configs: ConfigList) -> dict[int, np.ndarray]:
+    """Per-l RDM blocks rho^l = C^l (C^l)^T / (2l+1), normalized to unit trace.
 
-    blocks[l][i, j] couples radial indices i = n - l - 1 and j = n' - l - 1;
-    symmetric for S = 0, antisymmetric for S = 1.  The squared Frobenius
-    norms over all l sum to the CI-vector norm (unity).
-    """
-
-    S: int
-    blocks: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def coefficient_blocks(state: CIState, configs: ConfigList) -> CoefficientBlocks:
-    """Fold CI configuration amplitudes into per-l coefficient matrices.
-
-    A distinct-orbital amplitude T splits as +-T/sqrt(2) over the (n, n')
-    and (n', n) entries; a same-orbital singlet amplitude sits on the
-    diagonal with weight T (the CSF's 1/sqrt(2) convention undone), so the
-    reconstructed two-particle state is exactly the CI state.
+    C^l[i, j] couples radial indices i = n - l - 1 and j = n' - l - 1.  A
+    distinct-orbital amplitude T splits as T/sqrt(2) at (i, j) and
+    +-T/sqrt(2) at (j, i) (- for triplets); a same-orbital singlet amplitude
+    sits on the diagonal with weight T (the CSF's 1/sqrt(2) undone), so C^l
+    is exactly the two-particle state.  l blocks without configurations are
+    left out.  The weighted traces sum(2l+1) Tr rho^l add up to 1 for a
+    normalized state (asserted to 1e-10 before the final renormalization).
     """
     if len(state.coefficients) != len(configs):
         raise InconsistentInputError(
@@ -53,47 +46,20 @@ def coefficient_blocks(state: CIState, configs: ConfigList) -> CoefficientBlocks
     if state.S != configs.S:
         raise InconsistentInputError("state and configuration spins differ")
     sign = 1.0 if configs.S == 0 else -1.0
-    sizes = {}
-    for cfg in configs:
-        sizes[cfg.l] = max(sizes.get(cfg.l, 0), cfg.n2 - cfg.l)
-    blocks = {l: np.zeros((m, m)) for l, m in sizes.items()}
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for cfg, amp in zip(configs, state.coefficients):
-        i, j = cfg.n1 - cfg.l - 1, cfg.n2 - cfg.l - 1
-        blk = blocks[cfg.l]
-        if i == j:
-            blk[i, i] += amp
-        else:
-            blk[i, j] += amp * inv_sqrt2
-            blk[j, i] += sign * amp * inv_sqrt2
-    return CoefficientBlocks(S=configs.S, blocks=blocks)
-
-
-def blocks_to_coefficients(blocks: CoefficientBlocks,
-                           configs: ConfigList) -> np.ndarray:
-    """Inverse of coefficient_blocks (round-trip check helper)."""
-    out = np.zeros(len(configs))
-    sqrt2 = math.sqrt(2.0)
-    for row, cfg in enumerate(configs):
-        i, j = cfg.n1 - cfg.l - 1, cfg.n2 - cfg.l - 1
-        blk = blocks.blocks[cfg.l]
-        out[row] = blk[i, i] if i == j else blk[i, j] * sqrt2
-    return out
-
-
-def reduced_density_matrix(blocks: CoefficientBlocks) -> dict[int, np.ndarray]:
-    """Per-l RDM blocks rho^l = C^l (C^l)^T / (2l+1), normalized to unit trace.
-
-    Hermitian positive-semidefinite by construction; the weighted traces
-    sum(2l+1) Tr rho^l add up to 1 for a normalized state (asserted to
-    1e-10 before the final renormalization).
-    """
     rho = {}
     total = 0.0
-    for l, C in blocks.blocks.items():
-        block = (C @ C.T) / (2 * l + 1)
-        rho[l] = block
-        total += (2 * l + 1) * np.trace(block)
+    for l, (rows, i, j) in configs.blocks().items():
+        if not len(i):
+            continue
+        amp = state.coefficients[rows]
+        C = np.zeros((configs.n_max - l, configs.n_max - l))
+        C[i, j] = amp * inv_sqrt2
+        C[j, i] = sign * amp * inv_sqrt2
+        d = i == j   # same-orbital singlets: the diagonal holds T itself
+        C[i[d], i[d]] = amp[d]
+        rho[l] = (C @ C.T) / (2 * l + 1)
+        total += (2 * l + 1) * np.trace(rho[l])
     if abs(total - 1.0) > TRACE_TOL:
         raise InconsistentInputError(
             f"pre-normalization trace {total} deviates from 1 beyond {TRACE_TOL}"
@@ -115,12 +81,9 @@ class RdmSpectrum:
     degeneracies: np.ndarray
     l_labels: np.ndarray
 
-    def weighted_sum(self, f) -> float:
-        return float(np.dot(self.degeneracies, f(self.eigenvalues)))
-
     def purity(self) -> float:
         """Tr rho^2 = sum g lam^2."""
-        return self.weighted_sum(np.square)
+        return float(np.dot(self.degeneracies, np.square(self.eigenvalues)))
 
 
 def rdm_spectrum(rho: dict[int, np.ndarray]) -> RdmSpectrum:
@@ -145,7 +108,7 @@ def rdm_spectrum(rho: dict[int, np.ndarray]) -> RdmSpectrum:
 
 def state_spectrum(state: CIState, configs: ConfigList) -> RdmSpectrum:
     """Convenience: CI state -> occupation spectrum."""
-    return rdm_spectrum(reduced_density_matrix(coefficient_blocks(state, configs)))
+    return rdm_spectrum(reduced_density_matrix(state, configs))
 
 
 def von_neumann_entropy(spectrum: RdmSpectrum) -> float:

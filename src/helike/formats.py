@@ -331,12 +331,14 @@ def svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]],
 
 def write_scan_svg(path, result: ZScanResult, quantity: str = "s_linear",
                    title: str | None = None) -> None:
-    """Entropy-vs-1/Z plot for every scanned state, with 0.5/1.0 guides."""
+    """Entropy-vs-1/Z plot for every scanned state with rows, 0.5/1.0 guides."""
     if quantity not in ("s_linear", "s_von_neumann"):
         raise InvalidParameterError(f"cannot plot {quantity!r}")
     series = []
     for state in result.states:
         inv_z, s_l, s_vn = result.series(state)
+        if not len(inv_z):
+            continue
         y = s_l if quantity == "s_linear" else s_vn
         series.append((state, inv_z, y))
     name = "linear entropy" if quantity == "s_linear" else "von Neumann entropy"

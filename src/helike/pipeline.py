@@ -296,12 +296,14 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     One basis and one Hamiltonian are built at the largest truncation; each
     smaller cell diagonalizes the principal submatrix of rows whose
     configurations fit inside it, so all cells share identical orbitals and
-    radial integrals and differ only in the CI cut-off.
+    radial integrals and differ only in the CI cut-off.  Cells with
+    n_max <= l_max or n_max below the target's n2 are skipped.
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
-    if not l_values or not n_values:
-        raise InvalidParameterError("empty convergence axis")
+    if not l_values or not n_values or l_values[0] < 0:
+        raise InvalidParameterError(
+            f"need nonempty convergence axes and l >= 0, got {l_values}")
     big = replace(config, l_max=l_values[-1], n_max=n_values[-1])
     ctx = build_context(big)
     pair, spin = parse_state(config.state)
@@ -310,7 +312,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     rows = []
     for l_cut in l_values:
         for n_cut in n_values:
-            if n_cut <= l_cut or (spin == 1 and n_cut < pair[1]):
+            if n_cut <= l_cut or n_cut < pair[1]:
                 continue
             keep = np.array([
                 i for i, c in enumerate(cfgs)

@@ -63,6 +63,13 @@ def test_zscan_partial_failure_exit_code(tmp_path, capsys):
     assert code == 3
     assert len(read_csv(tmp_path / "zscan.csv")) == 1
     assert "failed" in capsys.readouterr().err
+    # no rows at all: no plot, the same partial-failure exit
+    code = run(["zscan", "--charges", "2", "--states", "1s9s-1S",
+                "--lmax", "1", "--nmax", "5", "--format", "svg",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert "failed:" in capsys.readouterr().err
+    assert not (tmp_path / "zscan_linear.svg").exists()
 
 
 def test_config_error_exit_codes(tmp_path, capsys):
@@ -76,8 +83,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     cfg.write_text("gamma = 0\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert run(["zscan", "--charges", ",", "--out", str(tmp_path)]) == 1
-    # argparse usage errors share the code; --threads and svg are zscan-only
+    assert run(["converge", "--lvalues=-1,1", "--out", str(tmp_path)]) == 1
+    # argparse usage errors share the code; --threads and svg are zscan-only,
+    # and zscan takes --states, not --state
     assert run(["solve", "--lmax", "x"]) == 1
+    assert run(["zscan", "--state", "1s3s-1S", "--out", str(tmp_path)]) == 1
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1
     assert run(["converge", "--format", "svg", "--out", str(tmp_path)]) == 1
     assert "usage" in capsys.readouterr().err

@@ -9,8 +9,6 @@ from helike.ci import CIState, assemble_hamiltonian, build_config_list, \
 from helike.crosscheck import rdm_m_resolved
 from helike.entanglement import (
     RdmSpectrum,
-    blocks_to_coefficients,
-    coefficient_blocks,
     linear_entropy,
     rdm_spectrum,
     reduced_density_matrix,
@@ -59,23 +57,9 @@ def random_state(configs, seed):
                    S=configs.S, dominant=configs[0], dominant_weight=0.0)
 
 
-def test_coefficient_blocks_round_trip():
-    for state, configs in STATES:
-        blocks = coefficient_blocks(state, configs)
-        back = blocks_to_coefficients(blocks, configs)
-        assert_allclose(back, state.coefficients, atol=1e-14)
-
-
-def test_blocks_symmetry():
-    for state, configs in STATES:
-        sign = 1.0 if state.S == 0 else -1.0
-        for C in coefficient_blocks(state, configs).blocks.values():
-            assert_allclose(C, sign * C.T, atol=1e-14)
-
-
 def test_rdm_trace_and_psd():
     for state, configs in STATES:
-        rho = reduced_density_matrix(coefficient_blocks(state, configs))
+        rho = reduced_density_matrix(state, configs)
         total = sum((2 * l + 1) * np.trace(b) for l, b in rho.items())
         assert_allclose(total, 1.0, atol=1e-12)
         for b in rho.values():
@@ -92,7 +76,9 @@ def test_block_rdm_matches_m_resolved():
 
 
 def test_random_states_also_match_oracle():
-    for _, configs in STATES[:2]:
+    # the singlet and the triplet list: the (j, i) sign of the fold is odd
+    # in the spin
+    for configs in (STATES[0][1], STATES[-1][1]):
         for seed in range(4):
             state = random_state(configs, seed)
             spec = state_spectrum(state, configs)
@@ -140,15 +126,16 @@ def test_entropy_permutation_invariance():
 
 
 def test_rotation_invariance():
-    # an orthogonal rotation of the radial basis inside one l block leaves
-    # the occupation spectrum, hence both entropies, unchanged
+    # an orthogonal rotation of the radial basis inside one l block,
+    # rho^0 -> Q rho^0 Q^T, leaves the occupation spectrum, hence both
+    # entropies, unchanged
     state, configs = STATES[0]
-    blocks = coefficient_blocks(state, configs)
-    spec = rdm_spectrum(reduced_density_matrix(blocks))
-    m = blocks.blocks[0].shape[0]
+    rho = reduced_density_matrix(state, configs)
+    spec = rdm_spectrum(rho)
+    m = rho[0].shape[0]
     Q, _ = np.linalg.qr(RNG.normal(size=(m, m)))
-    blocks.blocks[0] = Q @ blocks.blocks[0] @ Q.T
-    rotated = rdm_spectrum(reduced_density_matrix(blocks))
+    rho[0] = Q @ rho[0] @ Q.T
+    rotated = rdm_spectrum(rho)
     assert_allclose(von_neumann_entropy(spec), von_neumann_entropy(rotated),
                     atol=1e-12)
     assert_allclose(linear_entropy(spec), linear_entropy(rotated),
@@ -170,11 +157,16 @@ def test_error_paths():
     bad = CIState(energy=0.0, coefficients=state.coefficients[:-1],
                   label="bad", S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
-        coefficient_blocks(bad, configs)
+        reduced_density_matrix(bad, configs)
+    triplets = STATES[-1][1]
+    flipped = CIState(energy=0.0, coefficients=np.zeros(len(triplets)),
+                      label="s", S=0, dominant=configs[0], dominant_weight=0.0)
+    with pytest.raises(InconsistentInputError, match="spins"):
+        reduced_density_matrix(flipped, triplets)
     unnormalized = CIState(
         energy=0.0, coefficients=2.0 * state.coefficients, label="u",
         S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
-        reduced_density_matrix(coefficient_blocks(unnormalized, configs))
+        reduced_density_matrix(unnormalized, configs)
     with pytest.raises(NegativeEigenvalueError):
         rdm_spectrum({0: np.array([[1.5, 0.0], [0.0, -0.5]])})

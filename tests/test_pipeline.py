@@ -105,6 +105,8 @@ def test_run_convergence_properties():
     assert table[(2, 12)].energy < table[(1, 12)].energy
     assert table[(1, 12)].energy < table[(1, 8)].energy
     assert result.config.l_max == 2 and result.config.n_max == 12
+    with pytest.raises(InvalidParameterError):
+        run_convergence(RunConfig(z=2.0, state="ground"), [-1, 1], [8])
 
 
 def test_run_convergence_triplet_bound():
@@ -113,6 +115,11 @@ def test_run_convergence_triplet_bound():
     assert result.rows
     for row in result.rows:
         assert row.s_linear >= 0.5 - 1e-12
+    # a cell too small for the target pair is skipped for either spin
+    cells = [[(r.l_max, r.n_max) for r in run_convergence(
+        RunConfig(z=2.0, state=f"1s5s-{term}"), [0, 1], [3, 8]).rows]
+        for term in ("1S", "3S")]
+    assert cells[0] == cells[1] == [(0, 8), (1, 8)]
 
 
 def test_run_zscan_rows_and_failures(monkeypatch):
