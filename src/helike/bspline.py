@@ -52,10 +52,6 @@ class KnotSequence:
         return len(self.points) - self.order
 
     @property
-    def r_min(self) -> float:
-        return float(self.points[0])
-
-    @property
     def r_max(self) -> float:
         return float(self.points[-1])
 

@@ -31,6 +31,9 @@ from .slater import SlaterIntegralTable
 SPECTROSCOPIC = "spdfghiklmnoq"
 
 AMBIGUOUS_WEIGHT = 0.5
+# weight gap a partial-spectrum pick must clear: far above the ~1e-15 by
+# which a subset and a full eigh disagree on the same vector
+PROOF_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -196,17 +199,30 @@ def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues and column eigenvectors of one CI matrix."""
+    """Roots 0..top of one CI matrix, ascending, with column eigenvectors.
+
+    A full decomposition holds every root; complete tells the two apart.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
+    @property
+    def complete(self) -> bool:
+        return self.eigenvectors.shape[1] == self.eigenvectors.shape[0]
 
-def diagonalize(H: np.ndarray) -> Spectrum:
-    """Full symmetric eigendecomposition with fixed eigenvector signs."""
+
+def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
+    """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
+
+    The lowest roots come from scipy.linalg.eigh(subset_by_index=(0, top));
+    a top at or past the last root is the full decomposition.  Each column
+    is signed so its largest-magnitude component is positive.
+    """
     if not np.array_equal(H, H.T):
         raise InconsistentInputError("Hamiltonian must be exactly symmetric")
-    eigval, eigvec = scipy.linalg.eigh(H)
+    subset = None if top is None or top >= len(H) - 1 else (0, top)
+    eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=subset)
     for i in range(eigvec.shape[1]):
         j = int(np.argmax(np.abs(eigvec[:, i])))
         if eigvec[j, i] < 0:
@@ -229,7 +245,7 @@ class CIState:
 
 
 def select_state(spectrum: Spectrum, configs: ConfigList,
-                 pair: tuple[int, int]) -> CIState:
+                 pair: tuple[int, int]) -> CIState | None:
     """Eigenstate with maximal squared overlap on the (n1 s, n2 s) pair.
 
     pair is an ordered s-pair (n1 <= n2) such as (1, 2), or (1, 1) for the
@@ -241,6 +257,14 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     Hylleraas-Undheim-MacDonald bound makes the physical state the
     (n - 1 - S)-th eigenvalue), so an ambiguous 1sns pick takes that rank
     instead and records selection = 'energy-order'.
+
+    On a partial spectrum (roots 0..top) the pick is returned only when it
+    is proven to be the full spectrum's pick, and None ("undecided")
+    otherwise.  Rows of the full eigenvector matrix have unit norm, so a
+    root not computed has target weight <= rest = 1 - (sum of the computed
+    weights).  An overlap pick is proven when its weight beats rest; an
+    energy-order pick when rest < 0.5 and the rank was computed.  Every
+    comparison must clear PROOF_MARGIN, so rounding cannot flip it.
     """
     n1, n2 = pair
     target = f"{n1}s{n2}s"
@@ -252,10 +276,17 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
         ) from None
     weights = spectrum.eigenvectors[row, :] ** 2
     best = int(np.argmax(weights))
-    ambiguous = float(weights[best]) < AMBIGUOUS_WEIGHT
+    weight = float(weights[best])
+    ambiguous = weight < AMBIGUOUS_WEIGHT
     selection = "overlap"
     if ambiguous and n1 == 1:
         best, selection = n2 - 1 - configs.S, "energy-order"
+    if not spectrum.complete:
+        rest = 1.0 - float(weights.sum())
+        bound = weight if selection == "overlap" else AMBIGUOUS_WEIGHT
+        if (abs(weight - AMBIGUOUS_WEIGHT) <= PROOF_MARGIN
+                or rest >= bound - PROOF_MARGIN or best >= len(weights)):
+            return None
     vec = spectrum.eigenvectors[:, best].copy()
     dom = int(np.argmax(vec**2))
     term = "1S" if configs.S == 0 else "3S"

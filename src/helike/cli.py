@@ -99,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args, defaults: dict | None = None) -> pipeline.RunConfig:
     file_values = (formats.load_config_file(args.config)
                    if args.config else {})
+    if "state" in file_values and not hasattr(args, "state"):
+        raise InvalidParameterError(
+            f"config key 'state' does not apply to {args.verb}, which "
+            "solves --states")
     overrides = dict(defaults or {})
     for key, attr in (("z", "z"), ("state", "state"), ("l_max", "lmax"),
                       ("n_max", "nmax"), ("r_max", "rmax"),

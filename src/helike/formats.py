@@ -129,8 +129,11 @@ def read_csv(path) -> list[dict]:
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        out = {f.name: _jsonable(getattr(obj, f.name))
+               for f in dataclasses.fields(obj)}
+        if isinstance(obj, ZScanResult):
+            del out["config"]["state"]   # a scan solves .states instead
+        return out
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

@@ -1,11 +1,13 @@
 """High-level pipelines: single-state solves, convergence tables, Z scans.
 
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
-for one (Z, state).  Convergence tables reuse one large Hamiltonian and
-diagonalize its principal submatrices.  Z scans walk a charge grid down to
-the critical region near Z = 1, enlarging the radial box as the outer
-electron delocalizes, solve all states of one charge in one context, and
-never let one failed row abort the rest.
+for one (Z, state).  Every CI solve computes the lowest roots first and
+diagonalizes in full only when they cannot prove the pick (lowest_state).
+Convergence tables reuse one large Hamiltonian and solve its principal
+submatrices.  Z scans walk a charge grid down to the critical region near
+Z = 1, enlarging the radial box as the outer electron delocalizes, solve
+all states of one charge in one context, and never let one failed row abort
+the rest.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from .bspline import BSplineBasis, make_knots
 from .ci import (
+    CIState,
     ConfigList,
     Spectrum,
     build_config_list,
@@ -153,29 +156,66 @@ class RunConfig:
         parse_state(res.state)
 
 
+# roots every CI solve computes first.  Fewer save almost nothing (at dim
+# 2035, 4 roots take 0.41 s and 12 take 0.42 s: the tridiagonal reduction
+# dominates), while with 8 roots 13 of the 64 default Z-scan rows still
+# need the full eigh; with 12, none does.
+LOWEST_ROOTS = 12
+
+
+def lowest_state(H: np.ndarray | None, configs: ConfigList,
+                 pair: tuple[int, int], spectrum: Spectrum | None = None
+                 ) -> tuple[CIState, Spectrum]:
+    """select_state's full-spectrum pick on pair, from the lowest roots of H.
+
+    Solves roots 0..max(LOWEST_ROOTS - 1, n2 - 1 - S) with a subset eigh,
+    or reuses spectrum, an earlier solve of H, when it already holds them;
+    when select_state cannot prove the pick there, H is diagonalized in
+    full.  Returns the state and the widest spectrum solved.  H may be None
+    only when spectrum is complete.
+    """
+    top = max(LOWEST_ROOTS, pair[1] - configs.S) - 1
+    if spectrum is None or not (spectrum.complete
+                                or len(spectrum.eigenvalues) > top):
+        spectrum = diagonalize(H, top)
+    state = select_state(spectrum, configs, pair)
+    if state is None:
+        spectrum = diagonalize(H)
+        state = select_state(spectrum, configs, pair)
+    return state, spectrum
+
+
 @dataclass
 class PipelineContext:
-    """One basis at one charge: orbitals, R^k table and per-spin spectra.
+    """One basis at one charge: orbitals, R^k table and per-spin CI solves.
 
-    Every state solved at this charge shares it: solve_in_context reads the
-    spin's spectrum from .spectra, diagonalizing each spin's Hamiltonian at
-    most once, so a Z-scan solves its 1s2s 1S and 3S terms in one basis.
-    config.state is only the state the context was configured with.
+    Every state solved at this charge shares it, so a Z-scan solves its
+    1s2s 1S and 3S terms in one basis.  .spins keeps, per spin, the
+    configurations, H and the widest spectrum lowest_state has solved: H
+    is assembled once per spin and diagonalized again only when a state
+    needs roots the spectrum lacks, and is dropped once the spectrum is
+    complete.  config.state is only the state the context was configured
+    with.
     """
 
     config: RunConfig
     basis: BSplineBasis
     orbitals: RadialOrbitalSet
     slater: SlaterIntegralTable
-    spectra: dict[int, tuple[ConfigList, Spectrum]] = field(default_factory=dict)
+    spins: dict[int, tuple[ConfigList, np.ndarray | None, Spectrum | None]] = \
+        field(default_factory=dict)
 
-    def spectrum(self, spin: int) -> tuple[ConfigList, Spectrum]:
-        if spin not in self.spectra:
+    def state(self, pair: tuple[int, int], spin: int
+              ) -> tuple[ConfigList, CIState]:
+        if spin not in self.spins:
             cfgs = build_config_list(self.config.l_max, self.config.n_max,
                                      spin)
             H = assemble_hamiltonian(cfgs, self.orbitals, self.slater)
-            self.spectra[spin] = (cfgs, diagonalize(H))
-        return self.spectra[spin]
+            self.spins[spin] = (cfgs, H, None)
+        cfgs, H, spectrum = self.spins[spin]
+        state, spectrum = lowest_state(H, cfgs, pair, spectrum)
+        self.spins[spin] = (cfgs, None if spectrum.complete else H, spectrum)
+        return cfgs, state
 
 
 def build_context(config: RunConfig) -> PipelineContext:
@@ -216,8 +256,7 @@ class StateReport:
 
 def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
     pair, spin = parse_state(state_text)
-    cfgs, spec = ctx.spectrum(spin)
-    state = select_state(spec, cfgs, pair)
+    cfgs, state = ctx.state(pair, spin)
     rdm = state_spectrum(state, cfgs)
     s_l = linear_entropy(rdm)
     s_vn = von_neumann_entropy(rdm)
@@ -294,10 +333,12 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     """Entropy/energy table over (l_max, n_max) truncations.
 
     One basis and one Hamiltonian are built at the largest truncation; each
-    smaller cell diagonalizes the principal submatrix of rows whose
+    smaller cell solves the principal submatrix of rows whose
     configurations fit inside it, so all cells share identical orbitals and
-    radial integrals and differ only in the CI cut-off.  Cells with
-    n_max <= l_max or n_max below the target's n2 are skipped.
+    radial integrals and differ only in the CI cut-off.  Each cell goes
+    through lowest_state: its lowest roots, and the full eigh only when
+    they cannot prove the pick.  Cells with n_max <= l_max or n_max below
+    the target's n2 are skipped.
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
@@ -320,7 +361,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
             ])
             sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
                              configs=[cfgs[i] for i in keep])
-            state = select_state(diagonalize(H[np.ix_(keep, keep)]), sub, pair)
+            state, _ = lowest_state(H[np.ix_(keep, keep)], sub, pair)
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
                 l_max=l_cut, n_max=n_cut, energy=state.energy,

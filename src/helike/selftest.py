@@ -114,6 +114,25 @@ def _toy_states():
     return out
 
 
+def check_lowest_roots() -> float:
+    """Roots 0..2 of the subset eigh vs the full decomposition (toy basis).
+
+    Worst eigenvalue difference and worst 1 - |overlap| of the vectors.
+    """
+    orbitals, slater = _toy_context()
+    worst = 0.0
+    for S in (0, 1):
+        H = assemble_hamiltonian(build_config_list(1, 3, S), orbitals, slater)
+        full, part = diagonalize(H), diagonalize(H, 2)
+        overlap = np.abs(np.sum(full.eigenvectors[:, :3] * part.eigenvectors,
+                                axis=0))
+        worst = max(worst,
+                    float(np.abs(full.eigenvalues[:3]
+                                 - part.eigenvalues).max()),
+                    float(np.max(1.0 - overlap)))
+    return worst
+
+
 def check_block_rdm() -> float:
     """Per-l block RDM eigenvalues vs the explicit m-resolved construction."""
     worst = 0.0
@@ -155,6 +174,7 @@ CHECKS = [
     ("R^k vs hydrogenic closed forms", check_slater_closed_forms, 1e-8),
     ("angular factors vs magnetic sums", check_coupling_coefficients, 1e-12),
     ("CI Hamiltonian vs determinant expansion", check_toy_hamiltonian, 1e-12),
+    ("lowest roots vs full eigh", check_lowest_roots, 1e-12),
     ("block RDM vs m-resolved RDM", check_block_rdm, 1e-12),
     ("triplet pairing and S_L bound", check_triplet_structure, 1e-12),
     ("occupation trace normalization", check_trace_normalization, 1e-10),

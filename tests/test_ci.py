@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from helike.bspline import BSplineBasis, make_knots
 from helike.ci import (
     Configuration,
+    Spectrum,
     assemble_hamiltonian,
     build_config_list,
     diagonalize,
@@ -14,6 +15,7 @@ from helike.ci import (
 from helike.crosscheck import hamiltonian_msum
 from helike.errors import InconsistentInputError, InvalidParameterError
 from helike.orbitals import build_orbital_set
+from helike.pipeline import SCAN_DEFAULTS, RunConfig, build_context
 from helike.slater import SlaterIntegralTable
 
 @pytest.fixture(scope="module")
@@ -59,9 +61,13 @@ def test_hamiltonian_symmetric_and_variational(toy):
     H = assemble_hamiltonian(configs, orbitals, slater)
     assert np.array_equal(H, H.T)
     spec = diagonalize(H)
-    assert np.all(np.diff(spec.eigenvalues) >= 0)
+    assert spec.complete and np.all(np.diff(spec.eigenvalues) >= 0)
     # ground eigenvalue below the lowest diagonal element
     assert spec.eigenvalues[0] < H.diagonal().min()
+    # roots 0..top only; a top at or past the last root is the full solve
+    low = diagonalize(H, 2)
+    assert not low.complete and low.eigenvectors.shape == (len(H), 3)
+    assert diagonalize(H, len(H) - 1).complete
 
 
 def test_memory_budget(toy):
@@ -123,6 +129,57 @@ def test_select_state_energy_rank_fallback(toy):
         # the rank rule covers 1sns targets only
         other = select_state(spec, configs, (2, 3))
         assert other.ambiguous and other.selection == "overlap"
+    # two computed roots leave rest = 0.4 < 0.5, which proves the energy
+    # order, but the 1s3s 1S rank 2 is not among them: undecided
+    configs = build_config_list(1, 3, 0)
+    vecs = np.zeros((len(configs), 2))
+    vecs[configs.index(1, 3, 0)] = np.sqrt(0.3)
+    assert select_state(Spectrum(np.zeros(2), vecs), configs, (1, 3)) is None
+
+
+def _truncation_verdicts(spec, configs, pair):
+    """select_state on the first k roots of spec for every k, against all.
+
+    Returns the k at which the pick was deferred; every other k must give
+    exactly the full-spectrum state.
+    """
+    full = select_state(spec, configs, pair)
+    deferred = []
+    for k in range(1, len(configs) + 1):
+        part = Spectrum(spec.eigenvalues[:k], spec.eigenvectors[:, :k])
+        state = select_state(part, configs, pair)
+        if state is None:
+            deferred.append(k)
+            continue
+        assert (state.energy, state.selection, state.ambiguous) == \
+            (full.energy, full.selection, full.ambiguous), (pair, k)
+        assert np.array_equal(state.coefficients, full.coefficients)
+    assert len(configs) not in deferred
+    return deferred
+
+
+def test_partial_spectrum_pick_is_proven_or_deferred(toy):
+    orbitals, slater = toy
+    for S in (0, 1):
+        configs = build_config_list(1, 3, S)
+        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+        for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
+            _truncation_verdicts(spec, configs, pair)
+    for z in (1.0, 2.0):
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS))
+        for S in (0, 1):
+            configs = build_config_list(2, 15, S)
+            spec = diagonalize(assemble_hamiltonian(configs, ctx.orbitals,
+                                                    ctx.slater))
+            for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
+                deferred = _truncation_verdicts(spec, configs, pair)
+                if (z, S, pair) == (1.0, 1, (1, 2)):
+                    # the overlap pick is root 10 (weight 0.616): deferred
+                    # until root 10 is computed, proven from then on
+                    state = select_state(spec, configs, pair)
+                    assert state.energy == spec.eigenvalues[10]
+                    assert state.selection == "overlap"
+                    assert deferred == list(range(1, 11))
 
 
 def test_helium_energies_small_basis():

@@ -49,10 +49,15 @@ def test_converge_verb(tmp_path):
 
 def test_zscan_verb_with_svg(tmp_path):
     code = run(["zscan", "--charges", "1.5,2", "--out", str(tmp_path),
-                "--format", "csv", "--format", "svg", "--threads", "2"])
+                "--format", "csv", "--format", "svg", "--format", "json",
+                "--threads", "2"])
     assert code == 0
     rows = read_csv(tmp_path / "zscan.csv")
     assert len(rows) == 4
+    # the payload echoes the states a scan solves, not RunConfig.state
+    payload = json.loads((tmp_path / "zscan.json").read_text())
+    assert payload["states"] == ["1s2s-1S", "1s2s-3S"]
+    assert "state" not in payload["config"]
     assert (tmp_path / "zscan_linear.svg").exists()
     assert (tmp_path / "zscan_von_neumann.svg").exists()
 
@@ -83,6 +88,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     cfg.write_text("gamma = 0\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert run(["zscan", "--charges", ",", "--out", str(tmp_path)]) == 1
+    # zscan solves --states, so a config file's state would go unused
+    cfg.write_text("state = 1s3s-1S\n")
+    assert run(["zscan", "--config", str(cfg), "--charges", "2",
+                "--out", str(tmp_path)]) == 1
     assert run(["converge", "--lvalues=-1,1", "--out", str(tmp_path)]) == 1
     # argparse usage errors share the code; --threads and svg are zscan-only,
     # and zscan takes --states, not --state

@@ -122,6 +122,59 @@ def test_run_convergence_triplet_bound():
     assert cells[0] == cells[1] == [(0, 8), (1, 8)]
 
 
+def test_lowest_root_solves_match_full_eigh(monkeypatch):
+    """solve_in_context and run_convergence agree with full-eigh solves.
+
+    With LOWEST_ROOTS past every dimension each solve is the full eigh.
+    """
+    tops = []
+    diagonalize = pipeline.diagonalize
+
+    def recording(H, top=None):
+        tops.append(top)
+        return diagonalize(H, top)
+
+    monkeypatch.setattr(pipeline, "diagonalize", recording)
+
+    def outcomes():
+        out, fallbacks = {}, set()
+        for z in (1.0, 2.0):
+            for base in ({"l_max": 3, "n_max": 25}, SCAN_DEFAULTS):
+                ctx = build_context(RunConfig(z=z, **base))
+                for state in ("ground", "1s2s-1S", "1s2s-3S"):
+                    tops.clear()
+                    r = solve_in_context(ctx, state)
+                    key = (z, base["n_max"], state)
+                    out[key] = (r.energy, r.s_linear, r.s_von_neumann,
+                                r.selection, r.ambiguous)
+                    if None in tops:
+                        fallbacks.add(key)
+            for state in ("1s2s-1S", "1s2s-3S"):
+                table = run_convergence(RunConfig(z=z, state=state),
+                                        [2, 3], [15, 25])
+                out[z, state] = [(r.l_max, r.n_max, r.energy, r.s_linear,
+                                  r.s_von_neumann) for r in table.rows]
+        return out, fallbacks
+
+    lowest, fallbacks = outcomes()
+    monkeypatch.setattr(pipeline, "LOWEST_ROOTS", 10**6)
+    full, _ = outcomes()
+    assert lowest.keys() == full.keys()
+    for key, got in lowest.items():
+        want = full[key]
+        if isinstance(got, list):   # convergence cells
+            assert [g[:2] for g in got] == [w[:2] for w in want]
+            assert_allclose([g[2:] for g in got], [w[2:] for w in want],
+                            rtol=1e-10, atol=1e-10)
+        else:
+            assert got[3:] == want[3:], key
+            assert_allclose(got[:3], want[:3], rtol=1e-10, atol=1e-10)
+    # at Z = 1, l3,n25 the 12 lowest roots cannot prove the 1s2s picks
+    assert (1.0, 25, "1s2s-1S") in fallbacks
+    assert (1.0, 25, "1s2s-3S") in fallbacks
+    assert (2.0, 25, "ground") not in fallbacks
+
+
 def test_run_zscan_rows_and_failures(monkeypatch):
     scan = run_zscan(charges=[1.5, 2.0], states=["1s2s-3S"])
     assert [r.z for r in scan.rows] == [1.5, 2.0]
