@@ -31,7 +31,6 @@ from .pipeline import (
     RunConfig,
     StateReport,
     ZScanResult,
-    count_interior_extrema,
     default_box_radius,
     default_scan_charges,
     run_convergence,
@@ -60,7 +59,6 @@ __all__ = [
     "assemble_hamiltonian",
     "build_config_list",
     "build_orbital_set",
-    "count_interior_extrema",
     "default_box_radius",
     "default_scan_charges",
     "diagonalize",

@@ -201,10 +201,6 @@ class BSplineBasis:
         """Basis derivatives at the cached quadrature points, shape (nq, N)."""
         return self.deriv_matrix(self.quad_points)
 
-    def integrate(self, values_at_quad) -> float:
-        """Quadrature of a sampled integrand over [0, R]."""
-        return float(np.dot(self.quad_weights, values_at_quad))
-
     def overlap_matrix(self) -> np.ndarray:
         """S_ij = integral of B_i B_j over [0, R]; exactly symmetric."""
         B = self.quad_values

@@ -9,14 +9,18 @@ functions is
       + f_ab f_cd sum_k c_k(la, lc) [ R^k(ab, cd) + (-1)^S R^k(ab, dc) ]
 
 with f_ab = 1/sqrt(1 + delta_ab) carrying the same-orbital singlet 1/sqrt(2)
-normalization and c_k the L = 0 closed form of coupling_coefficient.  The
-angular factor and the (-1)^S exchange sign are fixed against the
-brute-force magnetic-quantum-number oracle in crosscheck.py, which shares
-no angular code with this module.
+normalization and c_k the L = 0 closed form of coupling_coefficient.  Only
+the (-1)^S sign and the configuration list depend on the spin, so
+assemble_hamiltonian builds the singlet and the triplet H together: each
+R^k block is computed once and feeds both spins.  The angular factor and
+the (-1)^S exchange sign are fixed against the brute-force
+magnetic-quantum-number oracle in crosscheck.py, which shares no angular
+code with this module.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -143,58 +147,83 @@ def multipole_ranks(l: int, lp: int) -> range:
 MEMORY_BUDGET_BYTES = 4 << 30
 
 
-def assemble_hamiltonian(configs: ConfigList, orbitals: RadialOrbitalSet,
+def assemble_hamiltonian(config_lists: Sequence[ConfigList],
+                         orbitals: RadialOrbitalSet,
                          slater: SlaterIntegralTable,
-                         memory_budget: int = MEMORY_BUDGET_BYTES) -> np.ndarray:
-    """Dense symmetric CI Hamiltonian over the configuration list."""
+                         memory_budget: int = MEMORY_BUDGET_BYTES
+                         ) -> list[np.ndarray]:
+    """Dense symmetric CI Hamiltonians, one per configuration list.
+
+    The lists (typically the singlet and the triplet one) must share l_max
+    and n_max.  Each R^k block is computed once and feeds every list: its
+    direct and exchange gathers are taken per list with that list's
+    blocks() indices and (-1)^S sign, in the same order as for a list
+    assembled alone, so each H is bit-identical to its one-list assembly.
+    """
     if orbitals is not slater.orbitals:
         raise InconsistentInputError(
             "slater table was built for a different orbital set"
         )
-    n = len(configs)
-    # Peak estimate: H, plus the l = 0 working set (the most orbitals and
-    # configurations): the R^k block G with its symmetrized copy, and the
-    # direct/exchange gathers, their weighted sum and the block they fill.
+    if len({(c.l_max, c.n_max) for c in config_lists}) != 1:
+        raise InconsistentInputError(
+            "need one or more configuration lists sharing l_max and n_max"
+        )
+    l_max = config_lists[0].l_max
+    blocks = [c.blocks() for c in config_lists]
+    # Peak estimate: every H, plus the l = 0 working set (the most orbitals
+    # and configurations): the R^k block G with its symmetrized copy, one
+    # accumulator per list, and the direct/exchange gathers of one list with
+    # their weighted sum.
     n_orb = orbitals.orbitals(0).n_orbitals
-    blocks = configs.blocks()
-    n_cfg = blocks[0][0].stop
-    need = 8 * (n * n + 2 * n_orb**4 + 4 * n_cfg**2)
+    n_cfg = [b[0][0].stop for b in blocks]
+    h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
+    acc_bytes = 8 * sum(n * n for n in n_cfg)
+    gather_bytes = 24 * max(n_cfg) ** 2
+    need = h_bytes + 16 * n_orb**4 + acc_bytes + gather_bytes
     if need > memory_budget:
         raise MemoryError(
-            f"CI assembly needs an estimated {need} bytes: H {8 * n * n}, "
-            f"largest R^k block {8 * n_orb**4} held twice, gathers "
-            f"{32 * n_cfg**2} (budget {memory_budget}); reduce l_max/n_max"
+            f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
+            f"largest R^k block {8 * n_orb**4} held twice, accumulators "
+            f"{acc_bytes}, gathers {gather_bytes} (budget {memory_budget}); "
+            "reduce l_max/n_max"
         )
-    H = np.zeros((n, n))
-    xsign = -1.0 if configs.S == 1 else 1.0
-    for la, (rows, A, B) in blocks.items():
-        if not len(A):
-            continue
-        f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
-        for lc in range(la, configs.l_max + 1):
-            cols, C, D = blocks[lc]
-            if not len(C):
+    Hs = [np.zeros((len(c), len(c))) for c in config_lists]
+    for la in range(l_max + 1):
+        for lc in range(la, l_max + 1):
+            # per list with configurations in both l blocks: its H, the two
+            # blocks' (rows, i, j), its exchange sign and an accumulator
+            parts = [(H, b[la], b[lc], -1.0 if c.S == 1 else 1.0,
+                      np.zeros((len(b[la][1]), len(b[lc][1]))))
+                     for H, b, c in zip(Hs, blocks, config_lists)
+                     if len(b[la][1]) and len(b[lc][1])]
+            if not parts:
                 continue
-            f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
-            block = np.zeros((len(A), len(C)))
             for k in multipole_ranks(la, lc):
                 ck = coupling_coefficient(la, lc, k)
                 G = slater.rank_block(k, la, lc)
-                direct = G[A[:, None], C[None, :], B[:, None], D[None, :]]
-                exch = G[A[:, None], D[None, :], B[:, None], C[None, :]]
-                block += ck * (direct + xsign * exch)
-                del G, direct, exch  # free before the next block is built
-            block *= f_ab[:, None] * f_cd[None, :]
-            H[rows, cols] = block
-            if lc != la:
-                H[cols, rows] = block.T
-            else:
-                H[rows, cols] = 0.5 * (block + block.T)
+                for _, (_, A, B), (_, C, D), xsign, block in parts:
+                    direct = G[A[:, None], C[None, :], B[:, None], D[None, :]]
+                    exch = G[A[:, None], D[None, :], B[:, None], C[None, :]]
+                    block += ck * (direct + xsign * exch)
+                    del direct, exch
+                del G  # free before the next block is built
+            for H, (rows, A, B), (cols, C, D), _, block in parts:
+                f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
+                f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
+                block *= f_ab[:, None] * f_cd[None, :]
+                H[rows, cols] = block
+                if lc != la:
+                    H[cols, rows] = block.T
+                else:
+                    H[rows, cols] = 0.5 * (block + block.T)
+            del parts, block  # no accumulator outlives its (la, lc)
         # one-body part: diagonal in the CSF basis of orbital eigenstates
         e = orbitals.orbitals(la).energies
-        idx = np.arange(rows.start, rows.stop)
-        H[idx, idx] += e[A] + e[B]
-    return H
+        for H, b in zip(Hs, blocks):
+            rows, A, B = b[la]
+            idx = np.arange(rows.start, rows.stop)
+            H[idx, idx] += e[A] + e[B]
+    return Hs
 
 
 @dataclass

@@ -59,9 +59,6 @@ class RadialOrbitals:
     def n_orbitals(self) -> int:
         return len(self.energies)
 
-    def principal_numbers(self) -> np.ndarray:
-        return np.arange(self.l + 1, self.l + 1 + self.n_orbitals)
-
 
 @dataclass
 class RadialOrbitalSet:

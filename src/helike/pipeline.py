@@ -6,7 +6,8 @@ diagonalizes in full only when they cannot prove the pick (lowest_state).
 Convergence tables reuse one large Hamiltonian and solve its principal
 submatrices.  Z scans walk a charge grid down to the critical region near
 Z = 1, enlarging the radial box as the outer electron delocalizes, solve
-all states of one charge in one context, and never let one failed row abort
+all states of one charge in one context (whose single assembly computes
+each R^k block once for both spins), and never let one failed row abort
 the rest.
 """
 from __future__ import annotations
@@ -190,36 +191,52 @@ class PipelineContext:
     """One basis at one charge: orbitals, R^k table and per-spin CI solves.
 
     Every state solved at this charge shares it, so a Z-scan solves its
-    1s2s 1S and 3S terms in one basis.  .spins keeps, per spin, the
-    configurations, H and the widest spectrum lowest_state has solved: H
-    is assembled once per spin and diagonalized again only when a state
-    needs roots the spectrum lacks, and is dropped once the spectrum is
-    complete.  config.state is only the state the context was configured
-    with.
+    1s2s 1S and 3S terms in one basis.  serves names the spins the context
+    will solve; the first state request assembles all of them in one
+    assemble_hamiltonian call, so each R^k block is computed once per
+    charge and feeds every spin, and a spin outside serves is never
+    assembled.  .spins keeps, per spin, the configurations, H and the
+    widest spectrum lowest_state has solved: H is diagonalized again only
+    when a state needs roots the spectrum lacks, and is dropped once the
+    spectrum is complete.  config.state is only the state the context was
+    configured with.
     """
 
     config: RunConfig
     basis: BSplineBasis
     orbitals: RadialOrbitalSet
     slater: SlaterIntegralTable
+    serves: tuple[int, ...] = (0, 1)
     spins: dict[int, tuple[ConfigList, np.ndarray | None, Spectrum | None]] = \
         field(default_factory=dict)
 
     def state(self, pair: tuple[int, int], spin: int
               ) -> tuple[ConfigList, CIState]:
-        if spin not in self.spins:
-            cfgs = build_config_list(self.config.l_max, self.config.n_max,
-                                     spin)
-            H = assemble_hamiltonian(cfgs, self.orbitals, self.slater)
-            self.spins[spin] = (cfgs, H, None)
+        if spin not in self.serves:
+            raise InvalidParameterError(
+                f"this context serves spins {self.serves}, not S = {spin}"
+            )
+        if not self.spins:
+            lists = [build_config_list(self.config.l_max, self.config.n_max,
+                                       s) for s in self.serves]
+            Hs = assemble_hamiltonian(lists, self.orbitals, self.slater)
+            self.spins = {c.S: (c, H, None) for c, H in zip(lists, Hs)}
         cfgs, H, spectrum = self.spins[spin]
         state, spectrum = lowest_state(H, cfgs, pair, spectrum)
         self.spins[spin] = (cfgs, None if spectrum.complete else H, spectrum)
         return cfgs, state
 
 
-def build_context(config: RunConfig) -> PipelineContext:
+def build_context(config: RunConfig, spins=(0, 1)) -> PipelineContext:
+    """Basis, orbitals and R^k table for config, to serve the given spins.
+
+    Callers pass the spins of the states they will solve; the default
+    serves both.
+    """
     config.validate()
+    serves = tuple(sorted(set(spins)))
+    if not serves or not set(serves) <= {0, 1}:
+        raise InvalidParameterError(f"spins must be 0 and/or 1, got {spins}")
     res = config.resolve()
     knots = make_knots(res.r_max, res.n_splines, res.order,
                        grid=res.grid, gamma=res.gamma)
@@ -230,6 +247,7 @@ def build_context(config: RunConfig) -> PipelineContext:
         basis=basis,
         orbitals=orbitals,
         slater=SlaterIntegralTable(orbitals),
+        serves=serves,
     )
 
 
@@ -291,7 +309,8 @@ def _solve_with_box(ctx: PipelineContext, state_text: str,
     res = ctx.config
     while 2.0 * res.r_max <= MAX_BOX_RADIUS:
         wider = replace(res, r_max=2.0 * res.r_max, gamma=None).resolve()
-        bigger = solve_in_context(build_context(wider), state_text)
+        bigger = solve_in_context(build_context(wider, (report.spin,)),
+                                  state_text)
         if report.energy - bigger.energy < BOX_ENERGY_TOL:
             return report
         report, res = bigger, wider
@@ -311,7 +330,9 @@ def run_solve(config: RunConfig, escalate_box: bool = False) -> StateReport:
     rows (10 of the 12 with Z >= 10, and Z = 1.05 1S) by energy drops of
     2.1e-5 to 0.035 a.u. and entropy shifts of at most 4.1e-6.
     """
-    return _solve_with_box(build_context(config), config.state, escalate_box)
+    spin = parse_state(config.state)[1]
+    return _solve_with_box(build_context(config, (spin,)), config.state,
+                           escalate_box)
 
 
 @dataclass
@@ -346,10 +367,10 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
         raise InvalidParameterError(
             f"need nonempty convergence axes and l >= 0, got {l_values}")
     big = replace(config, l_max=l_values[-1], n_max=n_values[-1])
-    ctx = build_context(big)
     pair, spin = parse_state(config.state)
+    ctx = build_context(big, (spin,))
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
-    H = assemble_hamiltonian(cfgs, ctx.orbitals, ctx.slater)
+    (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
     rows = []
     for l_cut in l_values:
         for n_cut in n_values:
@@ -437,13 +458,12 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
     if not charges or not states:
         raise InvalidParameterError("a scan needs at least one charge and "
                                     "one state")
-    for s in states:
-        parse_state(s)
+    spins = {parse_state(s)[1] for s in states}
 
     def one_charge(z: float):
         rows, fails = [], []
         try:
-            ctx = build_context(replace(base, z=z))
+            ctx = build_context(replace(base, z=z), spins)
         except SCAN_ERRORS as exc:
             message = f"{type(exc).__name__}: {exc}"
             return rows, [(z, s, message) for s in states]
@@ -478,15 +498,3 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
     all_rows.sort(key=lambda r: (r.z, r.state))
     return ZScanResult(config=base.resolve(), states=states,
                        rows=all_rows, failures=failures)
-
-
-def count_interior_extrema(y, tol: float = 1e-9) -> int:
-    """Number of interior extrema (slope sign changes) of a sampled curve.
-
-    Consecutive differences smaller than tol in magnitude are treated as
-    flat and skipped, so quadrature-level noise on a plateau does not
-    register as oscillation.
-    """
-    d = np.diff(np.asarray(y, dtype=float))
-    signs = np.sign(d[np.abs(d) > tol])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))

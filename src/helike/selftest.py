@@ -87,29 +87,31 @@ def check_coupling_coefficients(l_cut=4, k_cut=8) -> float:
     return worst
 
 
+def _toy_hamiltonians(orbitals, slater):
+    """Singlet and triplet toy lists with their H, assembled in one call."""
+    lists = [build_config_list(1, 3, S) for S in (0, 1)]
+    return zip(lists, assemble_hamiltonian(lists, orbitals, slater))
+
+
 def check_toy_hamiltonian() -> float:
-    """Blockwise CI Hamiltonian vs the Slater-determinant expansion."""
+    """Both spins' CI Hamiltonians, built in one call, vs determinants."""
     orbitals, slater = _toy_context()
     worst = 0.0
-    for S in (0, 1):
-        configs = build_config_list(1, 3, S)
-        fast = assemble_hamiltonian(configs, orbitals, slater)
+    for configs, fast in _toy_hamiltonians(orbitals, slater):
         slow = hamiltonian_msum(configs, orbitals, slater)
         worst = max(worst, float(np.abs(fast - slow).max()))
     return worst
 
 
 def _toy_states():
-    orbitals, slater = _toy_context()
     out = []
-    for S in (0, 1):
-        configs = build_config_list(1, 3, S)
-        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+    for configs, H in _toy_hamiltonians(*_toy_context()):
+        spec = diagonalize(H)
         for idx in range(min(3, len(configs))):
             vec = spec.eigenvectors[:, idx]
             out.append((CIState(
                 energy=float(spec.eigenvalues[idx]), coefficients=vec,
-                label=f"toy{idx}", S=S, dominant=configs[0],
+                label=f"toy{idx}", S=configs.S, dominant=configs[0],
                 dominant_weight=0.0), configs))
     return out
 
@@ -119,10 +121,8 @@ def check_lowest_roots() -> float:
 
     Worst eigenvalue difference and worst 1 - |overlap| of the vectors.
     """
-    orbitals, slater = _toy_context()
     worst = 0.0
-    for S in (0, 1):
-        H = assemble_hamiltonian(build_config_list(1, 3, S), orbitals, slater)
+    for _, H in _toy_hamiltonians(*_toy_context()):
         full, part = diagonalize(H), diagonalize(H, 2)
         overlap = np.abs(np.sum(full.eigenvectors[:, :3] * part.eigenvectors,
                                 axis=0))

@@ -20,10 +20,11 @@ from helike.entanglement import (
 from helike.pipeline import (
     RunConfig,
     build_context,
-    count_interior_extrema,
     run_zscan,
     solve_in_context,
 )
+
+from helpers import count_interior_extrema
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,7 @@ def test_hamiltonian_vs_determinant_expansion(toy):
     orbitals, slater = toy
     for S in (0, 1):
         configs = build_config_list(1, 3, S)
-        fast = assemble_hamiltonian(configs, orbitals, slater)
+        (fast,) = assemble_hamiltonian([configs], orbitals, slater)
         slow = hamiltonian_msum(configs, orbitals, slater)
         assert_allclose(fast, slow, atol=1e-12)
 
@@ -58,7 +58,7 @@ def test_hamiltonian_vs_determinant_expansion(toy):
 def test_hamiltonian_symmetric_and_variational(toy):
     orbitals, slater = toy
     configs = build_config_list(1, 3, 0)
-    H = assemble_hamiltonian(configs, orbitals, slater)
+    (H,) = assemble_hamiltonian([configs], orbitals, slater)
     assert np.array_equal(H, H.T)
     spec = diagonalize(H)
     assert spec.complete and np.all(np.diff(spec.eigenvalues) >= 0)
@@ -74,12 +74,49 @@ def test_memory_budget(toy):
     orbitals, slater = toy
     configs = build_config_list(1, 3, 0)
     with pytest.raises(MemoryError):
-        assemble_hamiltonian(configs, orbitals, slater, memory_budget=8)
+        assemble_hamiltonian([configs], orbitals, slater, memory_budget=8)
     # room for H but not for H plus the largest R^k block
     n_orb = orbitals.orbitals(0).n_orbitals
     budget = 8 * len(configs) ** 2 + 8 * n_orb**4 - 1
     with pytest.raises(MemoryError):
-        assemble_hamiltonian(configs, orbitals, slater, memory_budget=budget)
+        assemble_hamiltonian([configs], orbitals, slater,
+                             memory_budget=budget)
+    # room for the singlet build alone, but not for singlet plus triplet
+    n_cfg = configs.blocks()[0][0].stop
+    alone = 8 * (len(configs) ** 2 + 2 * n_orb**4 + 4 * n_cfg**2)
+    triplets = build_config_list(1, 3, 1)
+    with pytest.raises(MemoryError):
+        assemble_hamiltonian([configs, triplets], orbitals, slater,
+                             memory_budget=alone)
+    assemble_hamiltonian([configs], orbitals, slater, memory_budget=alone)
+
+
+def test_both_spins_in_one_call_match_single_spin(toy):
+    orbitals, slater = toy
+    lists = [build_config_list(1, 3, S) for S in (0, 1)]
+    both = assemble_hamiltonian(lists, orbitals, slater)
+    for configs, H in zip(lists, both):
+        (alone,) = assemble_hamiltonian([configs], orbitals, slater)
+        assert np.array_equal(H, alone)
+        assert_allclose(H, hamiltonian_msum(configs, orbitals, slater),
+                        atol=1e-12)
+    for z in (1.0, 2.0):
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS))
+        lists = [build_config_list(2, 15, S) for S in (0, 1)]
+        both = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+        for configs, H in zip(lists, both):
+            (alone,) = assemble_hamiltonian([configs], ctx.orbitals,
+                                            ctx.slater)
+            assert np.array_equal(H, alone)
+
+
+def test_assembly_input_checks(toy):
+    orbitals, slater = toy
+    with pytest.raises(InconsistentInputError):
+        assemble_hamiltonian([], orbitals, slater)
+    with pytest.raises(InconsistentInputError):
+        assemble_hamiltonian([build_config_list(1, 3, 0),
+                              build_config_list(0, 3, 1)], orbitals, slater)
 
 
 def test_mismatched_slater_table(toy):
@@ -88,13 +125,13 @@ def test_mismatched_slater_table(toy):
     other = SlaterIntegralTable(build_orbital_set(basis, 2.0, 3, 1))
     configs = build_config_list(1, 3, 0)
     with pytest.raises(InconsistentInputError):
-        assemble_hamiltonian(configs, orbitals, other)
+        assemble_hamiltonian([configs], orbitals, other)
 
 
 def test_select_state(toy):
     orbitals, slater = toy
     configs = build_config_list(1, 3, 0)
-    spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
     ground = select_state(spec, configs, (1, 1))
     assert ground.dominant == Configuration(1, 1, 0)
     assert ground.dominant_weight > 0.9
@@ -108,7 +145,7 @@ def test_select_state(toy):
 def test_select_state_triplet_rules(toy):
     orbitals, slater = toy
     configs = build_config_list(1, 3, 1)
-    spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
     with pytest.raises(InvalidParameterError):
         select_state(spec, configs, (1, 1))
     state = select_state(spec, configs, (1, 2))
@@ -119,7 +156,8 @@ def test_select_state_energy_rank_fallback(toy):
     orbitals, slater = toy
     for S, rank in ((0, 1), (1, 0)):
         configs = build_config_list(1, 3, S)
-        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
+                                                 slater))
         # spread every eigenvector evenly so no overlap reaches 0.5
         n = len(configs)
         spec.eigenvectors = np.full((n, n), 1.0 / np.sqrt(n))
@@ -162,15 +200,16 @@ def test_partial_spectrum_pick_is_proven_or_deferred(toy):
     orbitals, slater = toy
     for S in (0, 1):
         configs = build_config_list(1, 3, S)
-        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
+                                                 slater))
         for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
             _truncation_verdicts(spec, configs, pair)
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS))
         for S in (0, 1):
             configs = build_config_list(2, 15, S)
-            spec = diagonalize(assemble_hamiltonian(configs, ctx.orbitals,
-                                                    ctx.slater))
+            spec = diagonalize(*assemble_hamiltonian([configs], ctx.orbitals,
+                                                     ctx.slater))
             for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
                 deferred = _truncation_verdicts(spec, configs, pair)
                 if (z, S, pair) == (1.0, 1, (1, 2)):
@@ -188,8 +227,9 @@ def test_helium_energies_small_basis():
     orbitals = build_orbital_set(basis, 2.0, 15, 2)
     slater = SlaterIntegralTable(orbitals)
     configs = build_config_list(2, 15, 0)
-    spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
     assert abs(spec.eigenvalues[0] - (-2.9037)) < 5e-3
     configs_t = build_config_list(2, 15, 1)
-    spec_t = diagonalize(assemble_hamiltonian(configs_t, orbitals, slater))
+    spec_t = diagonalize(*assemble_hamiltonian([configs_t], orbitals,
+                                               slater))
     assert abs(spec_t.eigenvalues[0] - (-2.1752)) < 2e-3

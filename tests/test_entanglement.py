@@ -34,7 +34,8 @@ def toy_states(l_max=1, n_max=3, per_spin=3):
     out = []
     for S in (0, 1):
         configs = build_config_list(l_max, n_max, S)
-        spec = diagonalize(assemble_hamiltonian(configs, orbitals, slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
+                                                 slater))
         for idx in range(min(per_spin, len(configs))):
             state = CIState(
                 energy=float(spec.eigenvalues[idx]),

@@ -13,6 +13,8 @@ from helike.orbitals import (
     solve_orbitals,
 )
 
+from helpers import principal_numbers
+
 
 @pytest.fixture(scope="module")
 def basis():
@@ -70,7 +72,7 @@ def test_node_counts(orbital_set):
     r = np.linspace(1e-4, 30.0, 4000)
     for l in range(2):
         vals = orbital_set.values_at(l, r)
-        for idx, n in enumerate(orbital_set.orbitals(l).principal_numbers()):
+        for idx, n in enumerate(principal_numbers(orbital_set.orbitals(l))):
             if n > 4:
                 continue
             chi = vals[idx]

@@ -9,7 +9,6 @@ from helike.pipeline import (
     SCAN_DEFAULTS,
     RunConfig,
     build_context,
-    count_interior_extrema,
     default_box_radius,
     default_scan_charges,
     parse_state,
@@ -18,6 +17,9 @@ from helike.pipeline import (
     run_zscan,
     solve_in_context,
 )
+from helike.slater import SlaterIntegralTable
+
+from helpers import count_interior_extrema
 
 
 def test_parse_state():
@@ -195,9 +197,9 @@ def test_run_zscan_rows_and_failures(monkeypatch):
     # context and solves every state in it
     built = []
 
-    def counting_build(config):
+    def counting_build(config, spins=(0, 1)):
         built.append(config.z)
-        return build_context(config)
+        return build_context(config, spins)
 
     monkeypatch.setattr(pipeline, "build_context", counting_build)
     states = ["1s2s-1S", "1s2s-3S"]
@@ -214,6 +216,36 @@ def test_run_zscan_rows_and_failures(monkeypatch):
                 row.dominant_weight, row.r_max, row.selection) == \
             (report.energy, report.s_linear, report.s_von_neumann,
              report.dominant_weight, report.config.r_max, report.selection)
+
+
+def test_context_computes_each_rank_block_once(monkeypatch):
+    calls = []
+    rank_block = SlaterIntegralTable.rank_block
+
+    def counting(self, k, la, lc):
+        calls.append((k, la, lc))
+        return rank_block(self, k, la, lc)
+
+    monkeypatch.setattr(SlaterIntegralTable, "rank_block", counting)
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
+    for s in ("1s2s-1S", "1s2s-3S"):
+        solve_in_context(ctx, s)
+    # one call per distinct (k, la, lc) for l_max = 2, shared by both spins
+    assert len(calls) == len(set(calls)) == 10
+    assert set(ctx.spins) == {0, 1}
+    # a single-state solve or scan never assembles the other spin
+    built = []
+
+    def recording_build(config, spins=(0, 1)):
+        built.append(build_context(config, spins))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_context", recording_build)
+    run_solve(RunConfig(z=2.0, state="1s2s-1S", **SCAN_DEFAULTS))
+    run_zscan(charges=[2.0], states=["1s2s-3S"])
+    assert [set(c.spins) for c in built] == [{0}, {1}]
+    with pytest.raises(InvalidParameterError):
+        solve_in_context(built[0], "1s2s-3S")
 
 
 def test_default_scan_charges():
