@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .orbitals import RadialOrbitalSet
-from .slater import SlaterIntegralTable
+from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
 
 SPECTROSCOPIC = "spdfghiklmnoq"
 
@@ -171,21 +171,23 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
     l_max = config_lists[0].l_max
     blocks = [c.blocks() for c in config_lists]
     # Peak estimate: every H, plus the l = 0 working set (the most orbitals
-    # and configurations): the R^k block G with its symmetrized copy, one
-    # accumulator per list, and the direct/exchange gathers of one list with
-    # their weighted sum.
+    # and configurations): the R^k block G with the one tile that
+    # rank_block symmetrizes it through, one accumulator per list, and the
+    # direct/exchange gathers of one list with their weighted sum.
     n_orb = orbitals.orbitals(0).n_orbitals
     n_cfg = [b[0][0].stop for b in blocks]
     h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
+    g_bytes = 8 * n_orb**4
+    tile_bytes = 8 * min(SYMMETRIZE_TILE, n_orb**2) ** 2
     acc_bytes = 8 * sum(n * n for n in n_cfg)
     gather_bytes = 24 * max(n_cfg) ** 2
-    need = h_bytes + 16 * n_orb**4 + acc_bytes + gather_bytes
+    need = h_bytes + g_bytes + tile_bytes + acc_bytes + gather_bytes
     if need > memory_budget:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
-            f"largest R^k block {8 * n_orb**4} held twice, accumulators "
-            f"{acc_bytes}, gathers {gather_bytes} (budget {memory_budget}); "
-            "reduce l_max/n_max"
+            f"largest R^k block {g_bytes} with a {tile_bytes}-byte "
+            f"symmetrization tile, accumulators {acc_bytes}, gathers "
+            f"{gather_bytes} (budget {memory_budget}); reduce l_max/n_max"
         )
     Hs = [np.zeros((len(c), len(c))) for c in config_lists]
     for la in range(l_max + 1):
@@ -231,32 +233,131 @@ class Spectrum:
     """Roots 0..top of one CI matrix, ascending, with column eigenvectors.
 
     A full decomposition holds every root; complete tells the two apart.
+    ritz_error is None for an eigh decomposition, whose columns are the
+    exact roots 0..top to rounding.  A Davidson spectrum sets it to a bound
+    on how far one column's weight on a configuration, or the sum of all
+    columns' weights on it, may lie from the exact eigenvectors' values.
+    Such a spectrum does not prove that no root below its last was skipped.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
+    ritz_error: float | None = None
 
     @property
     def complete(self) -> bool:
         return self.eigenvectors.shape[1] == self.eigenvectors.shape[0]
 
 
-def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
-    """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
+# partial spectra of matrices with at least this many rows go to davidson;
+# below it the subset eigh is as fast (measured on He l4,n30 submatrices)
+DAVIDSON_MIN_DIM = 600
+DAVIDSON_MAX_ITER = 50
+# a root has converged when ||H x - theta x|| <= RESIDUAL_TOL * max(1,
+# |theta_0|): energies and gaps scale as Z^2, and so does this tolerance
+RESIDUAL_TOL = 1e-10
+# a correction that keeps less than this share of its norm after projection
+# against the subspace adds no new direction
+NEW_DIRECTION = 1e-8
 
-    The lowest roots come from scipy.linalg.eigh(subset_by_index=(0, top));
-    a top at or past the last root is the full decomposition.  Each column
-    is signed so its largest-magnitude component is positive.
-    """
-    if not np.array_equal(H, H.T):
-        raise InconsistentInputError("Hamiltonian must be exactly symmetric")
-    subset = None if top is None or top >= len(H) - 1 else (0, top)
-    eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=subset)
+
+def _fix_signs(eigvec: np.ndarray) -> np.ndarray:
+    """Sign each column so its largest-magnitude component is positive."""
     for i in range(eigvec.shape[1]):
         j = int(np.argmax(np.abs(eigvec[:, i])))
         if eigvec[j, i] < 0:
             eigvec[:, i] *= -1.0
-    return Spectrum(eigenvalues=eigval, eigenvectors=eigvec)
+    return eigvec
+
+
+def _eigh(H: np.ndarray, top: int | None) -> Spectrum:
+    subset = None if top is None or top >= len(H) - 1 else (0, top)
+    eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=subset)
+    return Spectrum(eigenvalues=eigval, eigenvectors=_fix_signs(eigvec))
+
+
+def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
+    """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
+
+    A top at or past the last root gives the full scipy.linalg.eigh
+    decomposition.  Otherwise the lowest roots come from davidson when H
+    has at least DAVIDSON_MIN_DIM rows, and from
+    eigh(subset_by_index=(0, top)) below that.  Each column is signed so
+    its largest-magnitude component is positive.
+    """
+    if not np.array_equal(H, H.T):
+        raise InconsistentInputError("Hamiltonian must be exactly symmetric")
+    if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
+        return davidson(H, top)
+    return _eigh(H, top)
+
+
+def davidson(H: np.ndarray, top: int) -> Spectrum:
+    """Roots 0..top of symmetric H by block Davidson, with numpy alone.
+
+    E. R. Davidson, J. Comput. Phys. 17, 87 (1975).  The subspace starts on
+    the unit vectors of the top + 5 smallest diagonal entries.  Each step
+    adds, per unconverged root, the correction (theta - diag H)^-1 r,
+    orthonormalized twice against the subspace; past 4 (top + 5) columns
+    the subspace restarts on the top + 5 lowest Ritz vectors.  A root has
+    converged when ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
+
+    The spectrum's ritz_error is max(2 sqrt(2) max ||r_i||, ||R||_F) / g,
+    with g the smallest gap between consecutive Ritz values 0..top + 1,
+    value top + 1 standing in for the first root above the computed ones.
+    By Davis-Kahan each Ritz vector is within angle ||r_i|| / g of its
+    eigenvector, which moves its squared component on any row by at most
+    2 sqrt(2) ||r_i|| / g; the subspace form bounds the change of the
+    summed weights by ||R||_F / g.  So each weight select_state compares,
+    and their sum, is within ritz_error of its exact value.  When
+    DAVIDSON_MAX_ITER steps do not converge, or a step finds no new
+    direction, the same call returns the subset eigh instead.
+    """
+    n = len(H)
+    roots = top + 1
+    block = min(roots + 4, n)
+    width = 4 * block
+    diag = H.diagonal()
+    start = np.argsort(diag, kind="stable")[:block]
+    V = np.zeros((n, width), order="F")
+    V[start, np.arange(block)] = 1.0
+    HV = np.empty((n, width), order="F")
+    HV[:, :block] = H[:, start]
+    m = block
+    for _ in range(DAVIDSON_MAX_ITER):
+        theta, s = np.linalg.eigh(V[:, :m].T @ HV[:, :m])
+        X = V[:, :m] @ s[:, :roots]
+        R = HV[:, :m] @ s[:, :roots] - X * theta[:roots]
+        rnorm = np.linalg.norm(R, axis=0)
+        todo = rnorm > RESIDUAL_TOL * max(1.0, abs(theta[0]))
+        if not todo.any():
+            gap = float(np.diff(theta[:roots + 1]).min(initial=np.inf))
+            bound = max(2.0 * math.sqrt(2.0) * rnorm.max(),
+                        np.linalg.norm(R))
+            return Spectrum(eigenvalues=theta[:roots],
+                            eigenvectors=_fix_signs(X),
+                            ritz_error=bound / gap if gap > 0 else math.inf)
+        denom = theta[:roots][todo] - diag[:, None]
+        denom[np.abs(denom) < 1e-12] = 1e-12  # theta on a diagonal entry
+        T = R[:, todo] / denom
+        if m + T.shape[1] > width:  # restart on the lowest Ritz vectors
+            V[:, :block] = V[:, :m] @ s[:, :block]
+            HV[:, :block] = HV[:, :m] @ s[:, :block]
+            m = block
+        grown = m
+        for t in T.T:
+            norm = np.linalg.norm(t)
+            for _ in range(2):
+                t -= V[:, :grown] @ (V[:, :grown].T @ t)
+            kept = np.linalg.norm(t)
+            if kept > NEW_DIRECTION * norm:
+                V[:, grown] = t / kept
+                grown += 1
+        if grown == m:
+            break
+        HV[:, m:grown] = H @ V[:, m:grown]
+        m = grown
+    return _eigh(H, top)
 
 
 @dataclass
@@ -291,9 +392,15 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     is proven to be the full spectrum's pick, and None ("undecided")
     otherwise.  Rows of the full eigenvector matrix have unit norm, so a
     root not computed has target weight <= rest = 1 - (sum of the computed
-    weights).  An overlap pick is proven when its weight beats rest; an
-    energy-order pick when rest < 0.5 and the rank was computed.  Every
-    comparison must clear PROOF_MARGIN, so rounding cannot flip it.
+    weights).  An overlap pick is proven when its weight beats rest and
+    every other computed weight; an energy-order pick when rest < 0.5 and
+    the rank was computed.  This holds for any orthonormal set of exact
+    eigenvectors, so it holds for a Davidson spectrum too: a root Davidson
+    skipped has its weight counted in rest.  The rank does not: Davidson
+    does not prove its roots are the lowest ones, so an energy-order pick
+    from a spectrum with ritz_error set is always None.  Every comparison
+    must clear PROOF_MARGIN + 2 ritz_error, so neither rounding nor the
+    error of Ritz vectors can flip it.
     """
     n1, n2 = pair
     target = f"{n1}s{n2}s"
@@ -311,10 +418,17 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     if ambiguous and n1 == 1:
         best, selection = n2 - 1 - configs.S, "energy-order"
     if not spectrum.complete:
+        if selection == "energy-order" and spectrum.ritz_error is not None:
+            return None
+        margin = PROOF_MARGIN + 2.0 * (spectrum.ritz_error or 0.0)
         rest = 1.0 - float(weights.sum())
-        bound = weight if selection == "overlap" else AMBIGUOUS_WEIGHT
-        if (abs(weight - AMBIGUOUS_WEIGHT) <= PROOF_MARGIN
-                or rest >= bound - PROOF_MARGIN or best >= len(weights)):
+        if selection == "overlap":
+            rival = max(rest, float(np.delete(weights, best).max(initial=0)))
+            bound = weight
+        else:
+            rival, bound = rest, AMBIGUOUS_WEIGHT
+        if (abs(weight - AMBIGUOUS_WEIGHT) <= margin
+                or rival >= bound - margin or best >= len(weights)):
             return None
     vec = spectrum.eigenvectors[:, best].copy()
     dom = int(np.argmax(vec**2))

@@ -157,10 +157,11 @@ class RunConfig:
         parse_state(res.state)
 
 
-# roots every CI solve computes first.  Fewer save almost nothing (at dim
-# 2035, 4 roots take 0.41 s and 12 take 0.42 s: the tridiagonal reduction
-# dominates), while with 8 roots 13 of the 64 default Z-scan rows still
-# need the full eigh; with 12, none does.
+# roots every CI solve computes first.  With 8 roots 13 of the 64 default
+# Z-scan rows still need the full eigh; with 12, none does.  Fewer roots
+# save almost nothing in the subset eigh (at dim 2035, 4 roots take 0.58 s
+# and 12 take 0.60 s: the tridiagonal reduction dominates), but Davidson
+# pays per root: there 1 root takes 0.015 s, 4 take 0.06 s, 12 take 0.09 s.
 LOWEST_ROOTS = 12
 
 
@@ -169,8 +170,9 @@ def lowest_state(H: np.ndarray | None, configs: ConfigList,
                  ) -> tuple[CIState, Spectrum]:
     """select_state's full-spectrum pick on pair, from the lowest roots of H.
 
-    Solves roots 0..max(LOWEST_ROOTS - 1, n2 - 1 - S) with a subset eigh,
-    or reuses spectrum, an earlier solve of H, when it already holds them;
+    Solves roots 0..max(LOWEST_ROOTS - 1, n2 - 1 - S) through diagonalize
+    (Davidson from DAVIDSON_MIN_DIM rows on, a subset eigh below), or
+    reuses spectrum, an earlier solve of H, when it already holds them;
     when select_state cannot prove the pick there, H is diagonalized in
     full.  Returns the state and the widest spectrum solved.  H may be None
     only when spectrum is complete.

@@ -23,6 +23,8 @@ import numpy as np
 from .orbitals import RadialOrbitalSet
 
 SUBCELL_POINTS = 12
+# rank_block symmetrizes in tiles of this many rows and columns
+SYMMETRIZE_TILE = 256
 
 
 class SlaterIntegralTable:
@@ -128,9 +130,18 @@ class SlaterIntegralTable:
         """
         G = self._block(k, la, lc, la, lc)
         na, nc = G.shape[:2]
-        G = G.reshape(na * nc, -1)
-        G = 0.5 * (G + G.T)
-        return G.reshape(na, nc, na, nc)
+        M = G.reshape(na * nc, -1)
+        # in place, one tile pair at a time: no second full-size copy;
+        # (a + b) * 0.5 is the same float for both halves
+        for i in range(0, len(M), SYMMETRIZE_TILE):
+            for j in range(i, len(M), SYMMETRIZE_TILE):
+                upper = M[i:i + SYMMETRIZE_TILE, j:j + SYMMETRIZE_TILE]
+                lower = M[j:j + SYMMETRIZE_TILE, i:i + SYMMETRIZE_TILE]
+                tile = upper + lower.T
+                tile *= 0.5
+                upper[...] = tile
+                lower[...] = tile.T
+        return G
 
     def integral(self, k: int, a, b, c, d) -> float:
         """Scalar R^k(a b, c d) with orbital labels (n, l); oracle use only.

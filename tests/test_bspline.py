@@ -121,11 +121,13 @@ def test_invalid_parameters():
 
 def test_import_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate would add about 0.4 s and 20 MiB to every start-up
-    # (measured on a 2-vCPU host); evaluation is numpy only.  The oracle
+    # (measured on a 2-vCPU host); evaluation is numpy only.  So is the
+    # Davidson solver: scipy.sparse.linalg would add 0.39 s.  The oracle
     # modules and sympy stay out of production imports too.
     src = str(Path(helike.__file__).resolve().parents[1])
-    unloaded = ("scipy.interpolate", "helike.angular", "helike.crosscheck",
-                "helike.selftest", "sympy")
+    unloaded = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg",
+                "helike.angular", "helike.crosscheck", "helike.selftest",
+                "sympy")
     code = (f"import sys; sys.path.insert(0, {src!r}); import helike; "
             f"sys.exit(any(m in sys.modules for m in {unloaded!r}))")
     done = subprocess.run([sys.executable, "-c", code], timeout=120)

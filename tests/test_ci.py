@@ -1,14 +1,17 @@
 """Configuration lists, CI Hamiltonian assembly, and state selection."""
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from helike import ci
 from helike.bspline import BSplineBasis, make_knots
 from helike.ci import (
     Configuration,
     Spectrum,
     assemble_hamiltonian,
     build_config_list,
+    davidson,
     diagonalize,
     select_state,
 )
@@ -219,6 +222,66 @@ def test_partial_spectrum_pick_is_proven_or_deferred(toy):
                     assert state.energy == spec.eigenvalues[10]
                     assert state.selection == "overlap"
                     assert deferred == list(range(1, 11))
+
+
+def test_iterative_spectrum_defers_what_it_cannot_prove():
+    configs = build_config_list(1, 3, 0)
+    # three roots each with 1s2s weight 0.3: rest 0.1 < 0.5 proves the
+    # energy order of an eigh spectrum, but Davidson does not prove ranks
+    vecs = np.zeros((len(configs), 3))
+    vecs[configs.index(1, 2, 0)] = np.sqrt(0.3)
+    state = select_state(Spectrum(np.arange(3.0), vecs), configs, (1, 2))
+    assert state.selection == "energy-order" and state.energy == 1.0
+    iterative = Spectrum(np.arange(3.0), vecs, ritz_error=0.0)
+    assert select_state(iterative, configs, (1, 2)) is None
+    # an overlap pick (weight 0.9, runner-up 0.05, rest 0.05) keeps the
+    # certificate while 2 ritz_error leaves room below |0.9 - 0.5|
+    vecs[configs.index(1, 2, 0)] = np.sqrt([0.9, 0.05, 0.0])
+    for error, proven in ((0.0, True), (0.1, True), (0.2, False)):
+        spec = Spectrum(np.arange(3.0), vecs, ritz_error=error)
+        assert (select_state(spec, configs, (1, 2)) is not None) == proven
+    # two computed weights closer than the margin leave the pick unproven
+    vecs[configs.index(2, 3, 0)] = np.sqrt([0.45, 0.45 - 1e-9, 0.1])
+    assert select_state(Spectrum(np.arange(3.0), vecs), configs,
+                        (2, 3)) is None
+
+
+def test_davidson_matches_eigh(toy):
+    """davidson, called below and above the cut, vs scipy.linalg.eigh."""
+    orbitals, slater = toy
+    lists = [build_config_list(1, 3, S) for S in (0, 1)]
+    cases = [(H, 2) for H in assemble_hamiltonian(lists, orbitals, slater)]
+    for z in (1.0, 2.0):
+        ctx = build_context(RunConfig(z=z, l_max=3, n_max=25))
+        lists = [build_config_list(3, 25, S) for S in (0, 1)]
+        cases += [(H, 11) for H in assemble_hamiltonian(lists, ctx.orbitals,
+                                                        ctx.slater)]
+    for H, top in cases:
+        spec = davidson(H, top)
+        assert spec.ritz_error is not None   # converged, no fallback
+        eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=(0, top))
+        cols = np.arange(top + 1)
+        eigvec *= np.sign(eigvec[np.argmax(np.abs(eigvec), axis=0), cols])
+        assert_allclose(spec.eigenvalues, eigval, rtol=0, atol=1e-10)
+        overlap = np.sum(spec.eigenvectors * eigvec, axis=0)
+        assert np.all(1.0 - overlap <= 1e-10)   # signs equal too
+
+
+@pytest.mark.parametrize("name, value", [("DAVIDSON_MAX_ITER", 1),
+                                         ("NEW_DIRECTION", 2.0)])
+def test_davidson_falls_back_to_subset_eigh(toy, monkeypatch, name, value):
+    orbitals, slater = toy
+    (H,) = assemble_hamiltonian([build_config_list(1, 3, 0)], orbitals,
+                                slater)
+    want = diagonalize(H, 2)   # below the cut: the subset eigh
+    monkeypatch.setattr(ci, name, value)
+    steps, eigh = [], np.linalg.eigh   # one per Rayleigh-Ritz step
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: steps.append(a.shape) or eigh(a))
+    got = davidson(H, 2)
+    assert len(steps) == 1 and got.ritz_error is None
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
 
 def test_helium_energies_small_basis():
