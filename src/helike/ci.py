@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .orbitals import RadialOrbitalSet
@@ -35,8 +34,8 @@ from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
 SPECTROSCOPIC = "spdfghiklmnoq"
 
 AMBIGUOUS_WEIGHT = 0.5
-# weight gap a partial-spectrum pick must clear: far above the ~1e-15 by
-# which a subset and a full eigh disagree on the same vector
+# weight gap a partial-spectrum pick must clear on top of twice its Ritz
+# error: far above the ~1e-15 rounding of a computed weight
 PROOF_MARGIN = 1e-8
 
 
@@ -233,8 +232,8 @@ class Spectrum:
     """Roots 0..top of one CI matrix, ascending, with column eigenvectors.
 
     A full decomposition holds every root; complete tells the two apart.
-    ritz_error is None for an eigh decomposition, whose columns are the
-    exact roots 0..top to rounding.  A Davidson spectrum sets it to a bound
+    ritz_error is None for an eigh decomposition, whose columns are exact
+    eigenvectors to rounding.  A Davidson spectrum sets it to a bound
     on how far one column's weight on a configuration, or the sum of all
     columns' weights on it, may lie from the exact eigenvectors' values.
     Such a spectrum does not prove that no root below its last was skipped.
@@ -249,9 +248,14 @@ class Spectrum:
         return self.eigenvectors.shape[1] == self.eigenvectors.shape[0]
 
 
-# partial spectra of matrices with at least this many rows go to davidson;
-# below it the subset eigh is as fast (measured on He l4,n30 submatrices)
-DAVIDSON_MIN_DIM = 600
+# partial spectra of matrices with at least this many rows go to davidson,
+# smaller ones to the complete eigh.  12 roots, median of 7 calls, davidson
+# / eigh: 7.1 / 16.7 ms at 325 rows, 14.8 / 55.4 ms at 571 (He l4,n30
+# cells).  The Z-scan basis (274 / 316 rows) stays below: Davidson alone
+# is faster there, but 6 of the 16 zscan picks are energy-order picks it
+# cannot prove, which pay a complete eigh after it; the 16 solves took
+# 310 ms that way against 270 ms for the complete eigh alone.
+DAVIDSON_MIN_DIM = 320
 DAVIDSON_MAX_ITER = 50
 # a root has converged when ||H x - theta x|| <= RESIDUAL_TOL * max(1,
 # |theta_0|): energies and gaps scale as Z^2, and so does this tolerance
@@ -270,26 +274,24 @@ def _fix_signs(eigvec: np.ndarray) -> np.ndarray:
     return eigvec
 
 
-def _eigh(H: np.ndarray, top: int | None) -> Spectrum:
-    subset = None if top is None or top >= len(H) - 1 else (0, top)
-    eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=subset)
+def _eigh(H: np.ndarray) -> Spectrum:
+    eigval, eigvec = np.linalg.eigh(H)
     return Spectrum(eigenvalues=eigval, eigenvectors=_fix_signs(eigvec))
 
 
 def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
     """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
 
-    A top at or past the last root gives the full scipy.linalg.eigh
-    decomposition.  Otherwise the lowest roots come from davidson when H
-    has at least DAVIDSON_MIN_DIM rows, and from
-    eigh(subset_by_index=(0, top)) below that.  Each column is signed so
-    its largest-magnitude component is positive.
+    When top leaves roots out and H has at least DAVIDSON_MIN_DIM rows, the
+    roots 0..top come from davidson.  Otherwise the result is the complete
+    numpy.linalg.eigh decomposition, whatever top asks for.  Each column is
+    signed so its largest-magnitude component is positive.
     """
     if not np.array_equal(H, H.T):
         raise InconsistentInputError("Hamiltonian must be exactly symmetric")
     if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
         return davidson(H, top)
-    return _eigh(H, top)
+    return _eigh(H)
 
 
 def davidson(H: np.ndarray, top: int) -> Spectrum:
@@ -311,7 +313,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     summed weights by ||R||_F / g.  So each weight select_state compares,
     and their sum, is within ritz_error of its exact value.  When
     DAVIDSON_MAX_ITER steps do not converge, or a step finds no new
-    direction, the same call returns the subset eigh instead.
+    direction, the same call returns the complete eigh instead.
     """
     n = len(H)
     roots = top + 1
@@ -357,7 +359,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
             break
         HV[:, m:grown] = H @ V[:, m:grown]
         m = grown
-    return _eigh(H, top)
+    return _eigh(H)
 
 
 @dataclass

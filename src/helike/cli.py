@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("zscan", allow_abbrev=False,
                             help="scan nuclear charge down to Z = 1")
     common(p_scan, choices=("csv", "json", "svg"), state=False)
-    p_scan.add_argument("--threads", type=int, default=1,
-                        help="parallel workers, one charge each")
     p_scan.add_argument("--charges", default=None,
                         help="comma-separated Z list (default: built-in grid)")
     p_scan.add_argument("--states", default="1s2s-1S,1s2s-3S",
@@ -179,8 +177,7 @@ def cmd_zscan(args) -> int:
     charges = None if args.charges is None else _parse_floats(args.charges)
     states = [s.strip() for s in args.states.split(",") if s.strip()]
     result = pipeline.run_zscan(config, charges=charges, states=states,
-                                escalate_box=args.escalate_box,
-                                threads=args.threads)
+                                escalate_box=args.escalate_box)
     out, fmts = _outputs(args)
     if "csv" in fmts:
         formats.write_csv(out / "zscan.csv", formats.SCAN_FIELDS,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import BSplineBasis
 from .errors import FactorizationError, InvalidParameterError
@@ -90,7 +89,12 @@ class RadialOrbitalSet:
 
 def solve_orbitals(basis: BSplineBasis, Z: float, l: int,
                    n_max: int) -> RadialOrbitals:
-    """Lowest n_max - l eigenpairs of H c = e S c for one (Z, l)."""
+    """Lowest n_max - l eigenpairs of H c = e S c for one (Z, l).
+
+    Cholesky reduction S = L L^T turns the pencil into the standard problem
+    A y = e y with A = L^-1 H L^-T (symmetrized against rounding); its
+    eigenvectors map back as c = L^-T y, which makes them S-orthonormal.
+    """
     if n_max <= l:
         raise InvalidParameterError(f"n_max ({n_max}) must exceed l ({l})")
     H = radial_hamiltonian(basis, Z, l)
@@ -102,21 +106,21 @@ def solve_orbitals(basis: BSplineBasis, Z: float, l: int,
             f"basis supports at most {n_int} orbitals per l, need {n_orb}"
         )
     try:
-        eigval, eigvec = scipy.linalg.eigh(
-            H, S, subset_by_index=(0, n_orb - 1)
-        )
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             "overlap matrix is not positive-definite"
         ) from exc
-    coeffs = eigvec.T.copy()
+    A = np.linalg.solve(L, np.linalg.solve(L, H).T)
+    eigval, y = np.linalg.eigh(0.5 * (A + A.T))
+    coeffs = np.linalg.solve(L.T, y[:, :n_orb]).T.copy()
     # fix sign: orbital made positive at the innermost quadrature point,
     # i.e. positive as r -> 0+
     inner = basis.quad_values[0, 1:-1]
     for row in coeffs:
         if float(row @ inner) < 0.0:
             row *= -1.0
-    return RadialOrbitals(l=l, energies=eigval, coefficients=coeffs)
+    return RadialOrbitals(l=l, energies=eigval[:n_orb], coefficients=coeffs)
 
 
 def build_orbital_set(basis: BSplineBasis, Z: float, n_max: int,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -157,11 +156,10 @@ class RunConfig:
         parse_state(res.state)
 
 
-# roots every CI solve computes first.  With 8 roots 13 of the 64 default
-# Z-scan rows still need the full eigh; with 12, none does.  Fewer roots
-# save almost nothing in the subset eigh (at dim 2035, 4 roots take 0.58 s
-# and 12 take 0.60 s: the tridiagonal reduction dominates), but Davidson
-# pays per root: there 1 root takes 0.015 s, 4 take 0.06 s, 12 take 0.09 s.
+# roots every CI solve computes first; below DAVIDSON_MIN_DIM the complete
+# eigh holds them all anyway.  With 8 exact roots 13 of the 64 default Z-scan
+# rows could not prove their pick; with 12, none.  Davidson pays per root: at
+# dim 2035 1 root takes 0.015 s, 4 take 0.06 s and 12 take 0.09 s.
 LOWEST_ROOTS = 12
 
 
@@ -171,11 +169,11 @@ def lowest_state(H: np.ndarray | None, configs: ConfigList,
     """select_state's full-spectrum pick on pair, from the lowest roots of H.
 
     Solves roots 0..max(LOWEST_ROOTS - 1, n2 - 1 - S) through diagonalize
-    (Davidson from DAVIDSON_MIN_DIM rows on, a subset eigh below), or
+    (Davidson from DAVIDSON_MIN_DIM rows on, the complete eigh below), or
     reuses spectrum, an earlier solve of H, when it already holds them;
-    when select_state cannot prove the pick there, H is diagonalized in
-    full.  Returns the state and the widest spectrum solved.  H may be None
-    only when spectrum is complete.
+    when select_state cannot prove the pick from a Davidson spectrum, H is
+    diagonalized in full.  Returns the state and the widest spectrum
+    solved.  H may be None only when spectrum is complete.
     """
     top = max(LOWEST_ROOTS, pair[1] - configs.S) - 1
     if spectrum is None or not (spectrum.complete
@@ -440,7 +438,7 @@ SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 
 
 def run_zscan(config: RunConfig | None = None, charges=None, states=None,
-              escalate_box: bool = False, threads: int = 1) -> ZScanResult:
+              escalate_box: bool = False) -> ZScanResult:
     """Solve the requested states on a charge grid; keep going on failures.
 
     Each charge builds one context, and all states are solved in its basis.
@@ -462,13 +460,15 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
                                     "one state")
     spins = {parse_state(s)[1] for s in states}
 
-    def one_charge(z: float):
-        rows, fails = [], []
+    rows: list[ZScanRow] = []
+    failures: list[tuple[float, str, str]] = []
+    for z in charges:
         try:
             ctx = build_context(replace(base, z=z), spins)
         except SCAN_ERRORS as exc:
             message = f"{type(exc).__name__}: {exc}"
-            return rows, [(z, s, message) for s in states]
+            failures += [(z, s, message) for s in states]
+            continue
         for s in states:
             try:
                 report = _solve_with_box(ctx, s, escalate_box)
@@ -482,21 +482,7 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
                     selection=report.selection,
                 ))
             except SCAN_ERRORS as exc:
-                fails.append((z, s, f"{type(exc).__name__}: {exc}"))
-        return rows, fails
-
-    all_rows: list[ZScanRow] = []
-    failures: list[tuple[float, str, str]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows, fails in pool.map(one_charge, charges):
-                all_rows.extend(rows)
-                failures.extend(fails)
-    else:
-        for z in charges:
-            rows, fails = one_charge(z)
-            all_rows.extend(rows)
-            failures.extend(fails)
-    all_rows.sort(key=lambda r: (r.z, r.state))
+                failures.append((z, s, f"{type(exc).__name__}: {exc}"))
+    rows.sort(key=lambda r: (r.z, r.state))
     return ZScanResult(config=base.resolve(), states=states,
-                       rows=all_rows, failures=failures)
+                       rows=rows, failures=failures)

@@ -51,7 +51,7 @@ def helium_converged():
 
 @pytest.fixture(scope="module")
 def zscan():
-    return run_zscan(threads=4)
+    return run_zscan()
 
 
 def test_01_helium_energy_levels(helium_standard):

@@ -123,12 +123,15 @@ def test_import_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate would add about 0.4 s and 20 MiB to every start-up
     # (measured on a 2-vCPU host); evaluation is numpy only.  So is the
     # Davidson solver: scipy.sparse.linalg would add 0.39 s.  The oracle
-    # modules and sympy stay out of production imports too.
+    # modules and sympy stay out of production imports too.  No scipy
+    # module loads at all: scipy bundles a second OpenBLAS whose thread
+    # pool starves numpy's, and scipy.linalg alone takes about 0.4 s.
     src = str(Path(helike.__file__).resolve().parents[1])
     unloaded = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg",
                 "helike.angular", "helike.crosscheck", "helike.selftest",
                 "sympy")
     code = (f"import sys; sys.path.insert(0, {src!r}); import helike; "
-            f"sys.exit(any(m in sys.modules for m in {unloaded!r}))")
+            f"sys.exit(any(m in sys.modules for m in {unloaded!r}) or any("
+            "m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], timeout=120)
     assert done.returncode == 0

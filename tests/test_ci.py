@@ -67,9 +67,9 @@ def test_hamiltonian_symmetric_and_variational(toy):
     assert spec.complete and np.all(np.diff(spec.eigenvalues) >= 0)
     # ground eigenvalue below the lowest diagonal element
     assert spec.eigenvalues[0] < H.diagonal().min()
-    # roots 0..top only; a top at or past the last root is the full solve
+    # below the Davidson cut every top gives the complete eigh
     low = diagonalize(H, 2)
-    assert not low.complete and low.eigenvectors.shape == (len(H), 3)
+    assert low.complete and np.array_equal(low.eigenvalues, spec.eigenvalues)
     assert diagonalize(H, len(H) - 1).complete
 
 
@@ -269,17 +269,18 @@ def test_davidson_matches_eigh(toy):
 
 @pytest.mark.parametrize("name, value", [("DAVIDSON_MAX_ITER", 1),
                                          ("NEW_DIRECTION", 2.0)])
-def test_davidson_falls_back_to_subset_eigh(toy, monkeypatch, name, value):
+def test_davidson_falls_back_to_eigh(toy, monkeypatch, name, value):
     orbitals, slater = toy
     (H,) = assemble_hamiltonian([build_config_list(1, 3, 0)], orbitals,
                                 slater)
-    want = diagonalize(H, 2)   # below the cut: the subset eigh
+    want = diagonalize(H)
     monkeypatch.setattr(ci, name, value)
-    steps, eigh = [], np.linalg.eigh   # one per Rayleigh-Ritz step
+    calls, eigh = [], np.linalg.eigh   # the fallback's own call is H-sized
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: steps.append(a.shape) or eigh(a))
+                        lambda a: calls.append(a.shape) or eigh(a))
     got = davidson(H, 2)
-    assert len(steps) == 1 and got.ritz_error is None
+    steps = [shape for shape in calls if shape != H.shape]
+    assert len(steps) == 1 and got.ritz_error is None   # one Rayleigh-Ritz
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert np.array_equal(got.eigenvectors, want.eigenvectors)
 

@@ -49,8 +49,7 @@ def test_converge_verb(tmp_path):
 
 def test_zscan_verb_with_svg(tmp_path):
     code = run(["zscan", "--charges", "1.5,2", "--out", str(tmp_path),
-                "--format", "csv", "--format", "svg", "--format", "json",
-                "--threads", "2"])
+                "--format", "csv", "--format", "svg", "--format", "json"])
     assert code == 0
     rows = read_csv(tmp_path / "zscan.csv")
     assert len(rows) == 4
@@ -93,8 +92,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert run(["zscan", "--config", str(cfg), "--charges", "2",
                 "--out", str(tmp_path)]) == 1
     assert run(["converge", "--lvalues=-1,1", "--out", str(tmp_path)]) == 1
-    # argparse usage errors share the code; --threads and svg are zscan-only,
-    # and zscan takes --states, not --state
+    # argparse usage errors share the code: svg is zscan-only, zscan takes
+    # --states, not --state, and no verb takes --threads
     assert run(["solve", "--lmax", "x"]) == 1
     assert run(["zscan", "--state", "1s3s-1S", "--out", str(tmp_path)]) == 1
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1

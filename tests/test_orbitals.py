@@ -1,17 +1,21 @@
 """One-electron radial orbitals on the spline basis."""
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from helike import orbitals
 from helike.bspline import BSplineBasis, make_knots
-from helike.errors import InvalidParameterError
+from helike.errors import FactorizationError, InvalidParameterError
 from helike.orbitals import (
+    ORTHO_TOL,
     build_orbital_set,
     hydrogenic_energy,
     interior_overlap,
     radial_hamiltonian,
     solve_orbitals,
 )
+from helike.pipeline import RunConfig
 
 from helpers import principal_numbers
 
@@ -96,3 +100,36 @@ def test_invalid_parameters(basis):
         solve_orbitals(basis, 2.0, 0, 200)   # more orbitals than splines
     with pytest.raises(IndexError):
         build_orbital_set(basis, 2.0, 5, 1).energy(7, 0)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 100.0])
+def test_cholesky_reduction_matches_generalized_eigh(z):
+    # the pipeline's own basis at this charge; scipy's generalized solver
+    # is the oracle for the lowest n_max - l roots.  Eigenvalue rounding is
+    # absolute, of order eps cond(S) max|E|, so energies are compared
+    # relative to the largest one: roots near E = 0 differ by 4e-9 of
+    # themselves even between two of scipy's own drivers (gv and gvx).
+    res = RunConfig(z=z, l_max=3, n_max=25).resolve()
+    basis = BSplineBasis(make_knots(res.r_max, res.n_splines, res.order,
+                                    gamma=res.gamma),
+                         quad_order=res.quad_points)
+    S = interior_overlap(basis)
+    for l in range(4):
+        orb = solve_orbitals(basis, z, l, res.n_max)
+        want = scipy.linalg.eigh(radial_hamiltonian(basis, z, l), S,
+                                 eigvals_only=True,
+                                 subset_by_index=(0, orb.n_orbitals - 1))
+        assert_allclose(orb.energies, want, rtol=0,
+                        atol=1e-12 * np.abs(want).max())
+        C = orb.coefficients
+        assert_allclose(C @ S @ C.T, np.eye(len(C)), rtol=0, atol=ORTHO_TOL)
+
+
+def test_indefinite_overlap_is_a_factorization_error(basis, monkeypatch):
+    def indefinite(b):
+        S = interior_overlap(b).copy()
+        S[0, 0] = -1.0
+        return S
+    monkeypatch.setattr(orbitals, "interior_overlap", indefinite)
+    with pytest.raises(FactorizationError):
+        solve_orbitals(basis, 2.0, 0, 5)
