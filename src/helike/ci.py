@@ -234,8 +234,8 @@ class Spectrum:
     A full decomposition holds every root; complete tells the two apart.
     ritz_error is None for an eigh decomposition, whose columns are exact
     eigenvectors to rounding.  A Davidson spectrum sets it to a bound
-    on how far one column's weight on a configuration, or the sum of all
-    columns' weights on it, may lie from the exact eigenvectors' values.
+    on how far one column's weight on a configuration may lie from its
+    exact eigenvector's value.
     Such a spectrum does not prove that no root below its last was skipped.
     """
 
@@ -304,14 +304,13 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     the subspace restarts on the top + 5 lowest Ritz vectors.  A root has
     converged when ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
 
-    The spectrum's ritz_error is max(2 sqrt(2) max ||r_i||, ||R||_F) / g,
-    with g the smallest gap between consecutive Ritz values 0..top + 1,
-    value top + 1 standing in for the first root above the computed ones.
-    By Davis-Kahan each Ritz vector is within angle ||r_i|| / g of its
+    The spectrum's ritz_error is 2 sqrt(2) max ||r_i|| / g, with g the
+    smallest gap between consecutive Ritz values 0..top + 1, value top + 1
+    standing in for the first root above the computed ones.  By
+    Davis-Kahan each Ritz vector is within angle ||r_i|| / g of its
     eigenvector, which moves its squared component on any row by at most
-    2 sqrt(2) ||r_i|| / g; the subspace form bounds the change of the
-    summed weights by ||R||_F / g.  So each weight select_state compares,
-    and their sum, is within ritz_error of its exact value.  When
+    2 sqrt(2) ||r_i|| / g.  So the weight select_state compares is within
+    ritz_error of its exact value.  When
     DAVIDSON_MAX_ITER steps do not converge, or a step finds no new
     direction, the same call returns the complete eigh instead.
     """
@@ -334,8 +333,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
         todo = rnorm > RESIDUAL_TOL * max(1.0, abs(theta[0]))
         if not todo.any():
             gap = float(np.diff(theta[:roots + 1]).min(initial=np.inf))
-            bound = max(2.0 * math.sqrt(2.0) * rnorm.max(),
-                        np.linalg.norm(R))
+            bound = 2.0 * math.sqrt(2.0) * rnorm.max()
             return Spectrum(eigenvalues=theta[:roots],
                             eigenvectors=_fix_signs(X),
                             ritz_error=bound / gap if gap > 0 else math.inf)
@@ -390,19 +388,13 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     (n - 1 - S)-th eigenvalue), so an ambiguous 1sns pick takes that rank
     instead and records selection = 'energy-order'.
 
-    On a partial spectrum (roots 0..top) the pick is returned only when it
-    is proven to be the full spectrum's pick, and None ("undecided")
-    otherwise.  Rows of the full eigenvector matrix have unit norm, so a
-    root not computed has target weight <= rest = 1 - (sum of the computed
-    weights).  An overlap pick is proven when its weight beats rest and
-    every other computed weight; an energy-order pick when rest < 0.5 and
-    the rank was computed.  This holds for any orthonormal set of exact
-    eigenvectors, so it holds for a Davidson spectrum too: a root Davidson
-    skipped has its weight counted in rest.  The rank does not: Davidson
-    does not prove its roots are the lowest ones, so an energy-order pick
-    from a spectrum with ritz_error set is always None.  Every comparison
-    must clear PROOF_MARGIN + 2 ritz_error, so neither rounding nor the
-    error of Ritz vectors can flip it.
+    On a partial spectrum (roots 0..top) the pick is returned only when its
+    target weight exceeds AMBIGUOUS_WEIGHT + PROOF_MARGIN + 2 ritz_error,
+    and None ("undecided") otherwise.  Rows of the full eigenvector matrix
+    have unit norm, so such a weight beats that of every other root,
+    computed or not; the margin keeps rounding and the error of Ritz
+    vectors from flipping it.  Energy-order picks are ambiguous, so they
+    always need the full spectrum.
     """
     n1, n2 = pair
     target = f"{n1}s{n2}s"
@@ -415,23 +407,13 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     weights = spectrum.eigenvectors[row, :] ** 2
     best = int(np.argmax(weights))
     weight = float(weights[best])
+    margin = PROOF_MARGIN + 2.0 * (spectrum.ritz_error or 0.0)
+    if not spectrum.complete and weight <= AMBIGUOUS_WEIGHT + margin:
+        return None
     ambiguous = weight < AMBIGUOUS_WEIGHT
     selection = "overlap"
     if ambiguous and n1 == 1:
         best, selection = n2 - 1 - configs.S, "energy-order"
-    if not spectrum.complete:
-        if selection == "energy-order" and spectrum.ritz_error is not None:
-            return None
-        margin = PROOF_MARGIN + 2.0 * (spectrum.ritz_error or 0.0)
-        rest = 1.0 - float(weights.sum())
-        if selection == "overlap":
-            rival = max(rest, float(np.delete(weights, best).max(initial=0)))
-            bound = weight
-        else:
-            rival, bound = rest, AMBIGUOUS_WEIGHT
-        if (abs(weight - AMBIGUOUS_WEIGHT) <= margin
-                or rival >= bound - margin or best >= len(weights)):
-            return None
     vec = spectrum.eigenvectors[:, best].copy()
     dom = int(np.argmax(vec**2))
     term = "1S" if configs.S == 0 else "3S"

@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one state")
     common(p_solve)
-    p_solve.add_argument("--escalate-box", action="store_true",
-                         help="double the box until the energy is stable")
 
     p_conv = sub.add_parser("converge",
                             help="entropy table over (l_max, n_max) cut-offs")
@@ -84,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated Z list (default: built-in grid)")
     p_scan.add_argument("--states", default="1s2s-1S,1s2s-3S",
                         help="comma-separated state specs")
-    p_scan.add_argument("--escalate-box", action="store_true",
-                        help="double the box until each energy is stable")
 
     p_self = sub.add_parser("selftest",
                             help="run the built-in cross-check suites")
@@ -111,18 +107,13 @@ def _run_config(args, defaults: dict | None = None) -> pipeline.RunConfig:
     return formats.config_from_sources(file_values, overrides)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated values of kind (float or int); blanks are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise InvalidParameterError(f"bad numeric list {text!r}") from None
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidParameterError(f"bad integer list {text!r}") from None
+        word = "integer" if kind is int else "numeric"
+        raise InvalidParameterError(f"bad {word} list {text!r}") from None
 
 
 def _outputs(args) -> tuple[Path, list[str]]:
@@ -133,7 +124,7 @@ def _outputs(args) -> tuple[Path, list[str]]:
 
 def cmd_solve(args) -> int:
     config = _run_config(args)
-    report = pipeline.run_solve(config, escalate_box=args.escalate_box)
+    report = pipeline.run_solve(config)
     out, fmts = _outputs(args)
     if "csv" in fmts:
         formats.write_csv(out / "state.csv", formats.SOLVE_FIELDS,
@@ -156,8 +147,8 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config = _run_config(args)
-    result = pipeline.run_convergence(config, _parse_ints(args.lvalues),
-                                      _parse_ints(args.nvalues))
+    result = pipeline.run_convergence(config, _parse_list(args.lvalues, int),
+                                      _parse_list(args.nvalues, int))
     out, fmts = _outputs(args)
     if "csv" in fmts:
         formats.write_csv(out / "convergence.csv",
@@ -174,10 +165,10 @@ def cmd_converge(args) -> int:
 
 def cmd_zscan(args) -> int:
     config = _run_config(args, defaults=dict(pipeline.SCAN_DEFAULTS))
-    charges = None if args.charges is None else _parse_floats(args.charges)
+    charges = (None if args.charges is None
+               else _parse_list(args.charges, float))
     states = [s.strip() for s in args.states.split(",") if s.strip()]
-    result = pipeline.run_zscan(config, charges=charges, states=states,
-                                escalate_box=args.escalate_box)
+    result = pipeline.run_zscan(config, charges=charges, states=states)
     out, fmts = _outputs(args)
     if "csv" in fmts:
         formats.write_csv(out / "zscan.csv", formats.SCAN_FIELDS,

@@ -41,7 +41,6 @@ from .slater import SlaterIntegralTable
 
 DEFAULT_ORDER = 7
 MAX_BOX_RADIUS = 1200.0
-BOX_ENERGY_TOL = 1e-6
 EXTRA_SPLINES = 4
 
 
@@ -137,17 +136,20 @@ class RunConfig:
         )
 
     def validate(self) -> None:
+        # before resolve(), whose box and gamma policies need both in range
+        if not 1.0 <= self.z < math.inf:
+            raise InvalidParameterError(
+                f"Z must be finite and >= 1, got {self.z}")
+        if self.r_max is not None and not 0.0 < self.r_max < math.inf:
+            raise InvalidParameterError(
+                f"r_max must be finite and positive, got {self.r_max}")
         res = self.resolve()
-        if res.z < 1.0:
-            raise InvalidParameterError(f"Z must be >= 1, got {res.z}")
         if not 0 <= res.l_max < res.n_max:
             raise InvalidParameterError(
                 f"need 0 <= l_max < n_max, got ({res.l_max}, {res.n_max})"
             )
         if res.order < 3:
             raise InvalidParameterError(f"spline order {res.order} too small")
-        if res.r_max <= 0:
-            raise InvalidParameterError(f"r_max must be positive: {res.r_max}")
         if res.n_splines < res.n_max + 2:
             raise InvalidParameterError(
                 f"{res.n_splines} splines cannot host {res.n_max} orbitals "
@@ -300,39 +302,10 @@ def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
     )
 
 
-def _solve_with_box(ctx: PipelineContext, state_text: str,
-                    escalate_box: bool) -> StateReport:
-    """Solve state_text in ctx, then escalate the box as run_solve says."""
-    report = solve_in_context(ctx, state_text)
-    if not escalate_box:
-        return report
-    res = ctx.config
-    while 2.0 * res.r_max <= MAX_BOX_RADIUS:
-        wider = replace(res, r_max=2.0 * res.r_max, gamma=None).resolve()
-        bigger = solve_in_context(build_context(wider, (report.spin,)),
-                                  state_text)
-        if report.energy - bigger.energy < BOX_ENERGY_TOL:
-            return report
-        report, res = bigger, wider
-    return report
-
-
-def run_solve(config: RunConfig, escalate_box: bool = False) -> StateReport:
-    """Full pipeline for config.state.
-
-    With escalate_box=True the box radius is doubled (up to 1200 a.u.); each
-    doubling builds a wider context for this state and is kept only if it
-    lowers the energy by at least BOX_ENERGY_TOL = 1e-6 a.u., and the first
-    step that does not ends the loop with the previous report.  A wider box
-    at fixed spline count trades radial resolution for reach.  The
-    tolerance is absolute while energies scale as Z^2, so at high Z small
-    resolution gains pass it: on the default 64-row scan the loop moves 11
-    rows (10 of the 12 with Z >= 10, and Z = 1.05 1S) by energy drops of
-    2.1e-5 to 0.035 a.u. and entropy shifts of at most 4.1e-6.
-    """
+def run_solve(config: RunConfig) -> StateReport:
+    """Full pipeline for config.state, in a context serving only its spin."""
     spin = parse_state(config.state)[1]
-    return _solve_with_box(build_context(config, (spin,)), config.state,
-                           escalate_box)
+    return solve_in_context(build_context(config, (spin,)), config.state)
 
 
 @dataclass
@@ -437,16 +410,16 @@ SCAN_DEFAULTS = {"l_max": 2, "n_max": 15}
 SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 
 
-def run_zscan(config: RunConfig | None = None, charges=None, states=None,
-              escalate_box: bool = False) -> ZScanResult:
+def run_zscan(config: RunConfig | None = None, charges=None,
+              states=None) -> ZScanResult:
     """Solve the requested states on a charge grid; keep going on failures.
 
     Each charge builds one context, and all states are solved in its basis.
     The box radius follows default_box_radius(z) (already enlarged near the
-    critical charge) unless the config pins r_max; escalate_box adds the
-    doubling check of _solve_with_box on top.  Rows come back ordered by Z
-    then state; failed (Z, state) pairs are collected in .failures instead
-    of aborting the scan, one per state when the charge's context fails.
+    critical charge) unless the config pins r_max.  Rows come back ordered
+    by Z then state; failed (Z, state) pairs are collected in .failures
+    instead of aborting the scan, one per state when the charge's context
+    fails.
     charges=None / states=None mean the default grid and both 1s2s terms;
     an empty list is an InvalidParameterError.
     """
@@ -471,7 +444,7 @@ def run_zscan(config: RunConfig | None = None, charges=None, states=None,
             continue
         for s in states:
             try:
-                report = _solve_with_box(ctx, s, escalate_box)
+                report = solve_in_context(ctx, s)
                 rows.append(ZScanRow(
                     z=z, inv_z=1.0 / z, state=s,
                     energy=report.energy,

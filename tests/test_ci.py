@@ -226,12 +226,13 @@ def test_partial_spectrum_pick_is_proven_or_deferred(toy):
 
 def test_iterative_spectrum_defers_what_it_cannot_prove():
     configs = build_config_list(1, 3, 0)
-    # three roots each with 1s2s weight 0.3: rest 0.1 < 0.5 proves the
-    # energy order of an eigh spectrum, but Davidson does not prove ranks
+    # three roots each with 1s2s weight 0.3: no computed weight passes 0.5,
+    # so the energy-order pick waits for the full spectrum, from eigh or
+    # from Davidson alike
     vecs = np.zeros((len(configs), 3))
     vecs[configs.index(1, 2, 0)] = np.sqrt(0.3)
-    state = select_state(Spectrum(np.arange(3.0), vecs), configs, (1, 2))
-    assert state.selection == "energy-order" and state.energy == 1.0
+    assert select_state(Spectrum(np.arange(3.0), vecs), configs,
+                        (1, 2)) is None
     iterative = Spectrum(np.arange(3.0), vecs, ritz_error=0.0)
     assert select_state(iterative, configs, (1, 2)) is None
     # an overlap pick (weight 0.9, runner-up 0.05, rest 0.05) keeps the

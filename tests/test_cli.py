@@ -3,6 +3,7 @@ import json
 
 from helike.cli import main
 from helike.formats import read_csv
+from helike.pipeline import default_gamma
 
 
 def run(argv):
@@ -10,14 +11,18 @@ def run(argv):
 
 
 def test_solve_writes_outputs(tmp_path, capsys):
+    # --rmax pins the box (the Z = 2 policy would give 60) and its gamma
     code = run(["solve", "--z", "2", "--state", "1s2s-3S",
-                "--lmax", "1", "--nmax", "8",
+                "--lmax", "1", "--nmax", "8", "--rmax", "80",
                 "--out", str(tmp_path), "--format", "csv",
                 "--format", "json"])
     assert code == 0
     rows = read_csv(tmp_path / "state.csv")
     assert len(rows) == 1
     assert rows[0]["state"] == "1s2s-3S"
+    assert rows[0]["r_max"] == 80.0
+    # the CSV keeps 12 significant digits
+    assert abs(rows[0]["gamma"] - default_gamma(80.0)) < 1e-10
     assert rows[0]["s_linear"] >= 0.5
     spectrum = read_csv(tmp_path / "spectrum.csv")
     assert abs(sum(r["eigenvalue"] * r["degeneracy"]
@@ -98,9 +103,21 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert run(["zscan", "--state", "1s3s-1S", "--out", str(tmp_path)]) == 1
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1
     assert run(["converge", "--format", "svg", "--out", str(tmp_path)]) == 1
+    # the box comes from --rmax or the Z policy; no verb searches for one
+    assert run(["solve", "--escalate-box", "--out", str(tmp_path)]) == 1
+    assert run(["zscan", "--escalate-box", "--out", str(tmp_path)]) == 1
     assert "usage" in capsys.readouterr().err
     assert run(["solve", "--help"]) == 0
-    assert "--escalate-box" in capsys.readouterr().out
+    capsys.readouterr()
+    # a box or charge out of range is a configuration error, not a traceback
+    assert run(["solve", "--rmax", "-5", "--out", str(tmp_path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    # ... and costs a scan only its own rows
+    code = run(["zscan", "--charges", "inf,2", "--states", "1s2s-3S",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert [r["z"] for r in read_csv(tmp_path / "zscan.csv")] == [2.0]
+    assert "failed: Z=inf" in capsys.readouterr().err
 
 
 def test_selftest_fast(capsys):

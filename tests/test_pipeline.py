@@ -1,4 +1,6 @@
 """Pipeline orchestration: configs, solves, convergence grids, scans."""
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -65,6 +67,11 @@ def test_config_resolution_and_validation():
         RunConfig(n_splines=10, n_max=15).validate()
     with pytest.raises(InvalidParameterError):
         RunConfig(state="2p3p").validate()
+    # checked before resolve() feeds them to the box and gamma policies
+    for bad in ({"z": math.inf}, {"z": math.nan}, {"r_max": 0.0},
+                {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan}):
+        with pytest.raises(InvalidParameterError):
+            RunConfig(**bad).validate()
 
 
 def test_run_solve_helium_ground():
@@ -86,15 +93,6 @@ def test_run_solve_triplet_spin_cases():
     assert_allclose(report.xi_sz0, 1.0 - purity)
     assert_allclose(report.xi_polarized, 1.0 - 2.0 * purity)
     assert report.s_linear >= 0.5 - 1e-12
-
-
-def test_escalation_keeps_stable_box():
-    config = RunConfig(z=2.0, state="1s2s-3S", l_max=1, n_max=10)
-    plain = run_solve(config)
-    escalated = run_solve(config, escalate_box=True)
-    # default box is already converged, so escalation changes nothing
-    assert escalated.config.r_max == plain.config.r_max
-    assert_allclose(escalated.energy, plain.energy, atol=1e-12)
 
 
 def test_run_convergence_properties():
