@@ -67,7 +67,8 @@ def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
     grid selects the interior-knot distribution:
       * "linear":       uniform spacing;
       * "exponential":  t = r_max * (exp(gamma*x) - 1) / (exp(gamma) - 1)
-                        with x uniform, clustering knots near the origin.
+                        with x uniform, clustering knots near the origin;
+                        gamma must be finite and positive.
     """
     if r_max <= 0:
         raise InvalidParameterError(f"r_max must be positive, got {r_max}")
@@ -82,9 +83,9 @@ def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
     if grid == "linear":
         interior = r_max * x[1:-1]
     elif grid == "exponential":
-        if gamma == 0:
-            raise InvalidParameterError("gamma must be nonzero on the "
-                                        "exponential grid")
+        if not 0.0 < gamma < np.inf:
+            raise InvalidParameterError(
+                f"gamma must be finite and positive, got {gamma}")
         interior = r_max * np.expm1(gamma * x[1:-1]) / np.expm1(gamma)
     else:
         raise InvalidParameterError(f"unknown grid spec {grid!r}")

@@ -249,14 +249,19 @@ class Spectrum:
 
 
 # partial spectra of matrices with at least this many rows go to davidson,
-# smaller ones to the complete eigh.  12 roots, median of 7 calls, davidson
-# / eigh: 7.1 / 16.7 ms at 325 rows, 14.8 / 55.4 ms at 571 (He l4,n30
-# cells).  The Z-scan basis (274 / 316 rows) stays below: Davidson alone
-# is faster there, but 6 of the 16 zscan picks are energy-order picks it
-# cannot prove, which pay a complete eigh after it; the 16 solves took
-# 310 ms that way against 270 ms for the complete eigh alone.
-DAVIDSON_MIN_DIM = 320
+# smaller ones to the complete eigh.  First-rung solves (roots 0..1 or
+# 0..2), median of 7 calls, davidson / eigh on He l4,n30 cells: 1.35 / 1.15
+# ms at 85 rows, 1.39-1.68 / 1.61 ms at 100, 1.70-1.76 / 2.52 ms at 136
+# and 2.66-3.02 / 14.6 ms at 316.  The Z-scan basis (274 / 316 rows) is
+# above the cut, so its energy-order picks pay a first rung before their
+# complete eigh: on the 16 zscan matrices 16 first rungs and 7 complete
+# eigh took 0.165 s against 0.243 s for 16 complete eigh.
+DAVIDSON_MIN_DIM = 100
 DAVIDSON_MAX_ITER = 50
+# davidson's smallest start subspace.  On the He l3,n25 Z = 1 singlet the
+# roots 0..1 took 14 steps (31 ms) from 16 start vectors; from top + 5 = 6
+# they had not converged after DAVIDSON_MAX_ITER steps (326 ms with eigh)
+START_BLOCK = 16
 # a root has converged when ||H x - theta x|| <= RESIDUAL_TOL * max(1,
 # |theta_0|): energies and gaps scale as Z^2, and so does this tolerance
 RESIDUAL_TOL = 1e-10
@@ -298,11 +303,12 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     """Roots 0..top of symmetric H by block Davidson, with numpy alone.
 
     E. R. Davidson, J. Comput. Phys. 17, 87 (1975).  The subspace starts on
-    the unit vectors of the top + 5 smallest diagonal entries.  Each step
-    adds, per unconverged root, the correction (theta - diag H)^-1 r,
-    orthonormalized twice against the subspace; past 4 (top + 5) columns
-    the subspace restarts on the top + 5 lowest Ritz vectors.  A root has
-    converged when ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
+    the unit vectors of the b = max(top + 5, START_BLOCK) smallest diagonal
+    entries; only roots 0..top must converge.  Each step adds, per
+    unconverged root, the correction (theta - diag H)^-1 r, orthonormalized
+    twice against the subspace; past 4 b columns the subspace restarts on
+    the b lowest Ritz vectors.  A root has converged when
+    ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
 
     The spectrum's ritz_error is 2 sqrt(2) max ||r_i|| / g, with g the
     smallest gap between consecutive Ritz values 0..top + 1, value top + 1
@@ -316,7 +322,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     """
     n = len(H)
     roots = top + 1
-    block = min(roots + 4, n)
+    block = min(max(roots + 4, START_BLOCK), n)
     width = 4 * block
     diag = H.diagonal()
     start = np.argsort(diag, kind="stable")[:block]

@@ -102,31 +102,6 @@ def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
-def read_csv(path) -> list[dict]:
-    """Inverse of write_csv: header-keyed rows with numbers parsed back."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for record in reader:
-            row = {}
-            for name, text in zip(header, record):
-                if text == "":
-                    row[name] = None
-                elif text in ("true", "false"):
-                    row[name] = text == "true"
-                else:
-                    try:
-                        row[name] = int(text)
-                    except ValueError:
-                        try:
-                            row[name] = float(text)
-                        except ValueError:
-                            row[name] = text
-            rows.append(row)
-    return rows
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {f.name: _jsonable(getattr(obj, f.name))

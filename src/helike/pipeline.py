@@ -1,8 +1,9 @@
 """High-level pipelines: single-state solves, convergence tables, Z scans.
 
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
-for one (Z, state).  Every CI solve computes the lowest roots first and
-diagonalizes in full only when they cannot prove the pick (lowest_state).
+for one (Z, state).  Every CI solve first computes only the roots its
+target needs and diagonalizes in full only when they cannot prove the pick
+(lowest_state).
 Convergence tables reuse one large Hamiltonian and solve its principal
 submatrices.  Z scans walk a charge grid down to the critical region near
 Z = 1, enlarging the radial box as the outer electron delocalizes, solve
@@ -143,6 +144,9 @@ class RunConfig:
         if self.r_max is not None and not 0.0 < self.r_max < math.inf:
             raise InvalidParameterError(
                 f"r_max must be finite and positive, got {self.r_max}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise InvalidParameterError(
+                f"gamma must be finite and positive, got {self.gamma}")
         res = self.resolve()
         if not 0 <= res.l_max < res.n_max:
             raise InvalidParameterError(
@@ -158,26 +162,21 @@ class RunConfig:
         parse_state(res.state)
 
 
-# roots every CI solve computes first; below DAVIDSON_MIN_DIM the complete
-# eigh holds them all anyway.  With 8 exact roots 13 of the 64 default Z-scan
-# rows could not prove their pick; with 12, none.  Davidson pays per root: at
-# dim 2035 1 root takes 0.015 s, 4 take 0.06 s and 12 take 0.09 s.
-LOWEST_ROOTS = 12
-
-
 def lowest_state(H: np.ndarray | None, configs: ConfigList,
                  pair: tuple[int, int], spectrum: Spectrum | None = None
                  ) -> tuple[CIState, Spectrum]:
     """select_state's full-spectrum pick on pair, from the lowest roots of H.
 
-    Solves roots 0..max(LOWEST_ROOTS - 1, n2 - 1 - S) through diagonalize
-    (Davidson from DAVIDSON_MIN_DIM rows on, the complete eigh below), or
-    reuses spectrum, an earlier solve of H, when it already holds them;
-    when select_state cannot prove the pick from a Davidson spectrum, H is
-    diagonalized in full.  Returns the state and the widest spectrum
-    solved.  H may be None only when spectrum is complete.
+    The first rung solves roots 0..n2 - S through diagonalize (Davidson
+    from DAVIDSON_MIN_DIM rows on, the complete eigh below): the target's
+    Hylleraas-Undheim-MacDonald rank n2 - 1 - S and one root above it,
+    which sets davidson's Ritz gap.  It reuses spectrum, an earlier solve
+    of H, when that already holds them.  When select_state cannot prove
+    the pick from a partial spectrum, the second rung diagonalizes H in
+    full.  Returns the state and the widest spectrum solved.  H may be
+    None only when spectrum is complete.
     """
-    top = max(LOWEST_ROOTS, pair[1] - configs.S) - 1
+    top = pair[1] - configs.S
     if spectrum is None or not (spectrum.complete
                                 or len(spectrum.eigenvalues) > top):
         spectrum = diagonalize(H, top)
@@ -330,7 +329,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     smaller cell solves the principal submatrix of rows whose
     configurations fit inside it, so all cells share identical orbitals and
     radial integrals and differ only in the CI cut-off.  Each cell goes
-    through lowest_state: its lowest roots, and the full eigh only when
+    through lowest_state: roots 0..n2 - S, and the full eigh only when
     they cannot prove the pick.  Cells with n_max <= l_max or n_max below
     the target's n2 are skipped.
     """

@@ -120,10 +120,11 @@ def _toy_states():
 def check_lowest_roots() -> float:
     """Roots 0..2 of Davidson vs the full eigh.
 
-    Both toy spins.  The toy matrices are below the Davidson cut, so the
-    solver is called directly; a Davidson call that falls back to eigh
-    fails the check.  Worst eigenvalue difference and worst 1 - |overlap|
-    of the vectors.
+    Both toy spins.  The toy matrices are below the Davidson cut and
+    narrower than its start subspace, so the solver is called directly and
+    its first Rayleigh-Ritz step spans the whole space; a Davidson call
+    that falls back to eigh fails the check.  Worst eigenvalue difference
+    and worst 1 - |overlap| of the vectors.
     """
     worst = 0.0
     for _, H in _toy_hamiltonians(*_toy_context()):

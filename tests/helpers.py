@@ -1,4 +1,6 @@
 """Small helpers shared by the tests; the package itself never uses them."""
+import csv
+
 import numpy as np
 
 
@@ -22,3 +24,28 @@ def integrate(basis, values_at_quad) -> float:
 def principal_numbers(orbitals) -> np.ndarray:
     """Principal quantum numbers n = l + 1, l + 2, ... of one l's orbitals."""
     return np.arange(orbitals.l + 1, orbitals.l + 1 + orbitals.n_orbitals)
+
+
+def read_csv(path) -> list[dict]:
+    """Inverse of formats.write_csv: header-keyed rows, numbers parsed back."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for record in reader:
+            row = {}
+            for name, text in zip(header, record):
+                if text == "":
+                    row[name] = None
+                elif text in ("true", "false"):
+                    row[name] = text == "true"
+                else:
+                    try:
+                        row[name] = int(text)
+                    except ValueError:
+                        try:
+                            row[name] = float(text)
+                        except ValueError:
+                            row[name] = text
+            rows.append(row)
+    return rows

@@ -115,6 +115,9 @@ def test_invalid_parameters():
         KnotSequence(np.array([0.0, 5.0, 10.0]), 1)   # no order-0 row
     with pytest.raises(InvalidParameterError):
         make_knots(10.0, 10, 6, gamma=0.0)   # 0/0 on the exponential grid
+    for gamma in (-3.0, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError):
+            make_knots(10.0, 10, 6, gamma=gamma)
     with pytest.raises(InvalidParameterError):
         KnotSequence(np.array([0.0, 0.0, np.nan, 10.0, 10.0]), 2)
 

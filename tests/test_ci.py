@@ -255,8 +255,12 @@ def test_davidson_matches_eigh(toy):
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, l_max=3, n_max=25))
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
-        cases += [(H, 11) for H in assemble_hamiltonian(lists, ctx.orbitals,
-                                                        ctx.slater)]
+        Hs = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+        # lowest_state's first rungs, roots 0..n2 - S for the ground and
+        # 1s2s targets (the Z = 1 ground rung converges only from the wide
+        # start subspace), and 12 roots
+        cases += [(H, top) for H, tops in zip(Hs, ((1, 2, 11), (1, 11)))
+                  for top in tops]
     for H, top in cases:
         spec = davidson(H, top)
         assert spec.ritz_error is not None   # converged, no fallback
@@ -270,10 +274,13 @@ def test_davidson_matches_eigh(toy):
 
 @pytest.mark.parametrize("name, value", [("DAVIDSON_MAX_ITER", 1),
                                          ("NEW_DIRECTION", 2.0)])
-def test_davidson_falls_back_to_eigh(toy, monkeypatch, name, value):
-    orbitals, slater = toy
-    (H,) = assemble_hamiltonian([build_config_list(1, 3, 0)], orbitals,
-                                slater)
+def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
+    # a matrix wider than davidson's start subspace, which would otherwise
+    # hold every root exactly after one Rayleigh-Ritz step
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), (1,))
+    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
+                                ctx.slater)
+    assert len(H) > ci.START_BLOCK
     want = diagonalize(H)
     monkeypatch.setattr(ci, name, value)
     calls, eigh = [], np.linalg.eigh   # the fallback's own call is H-sized

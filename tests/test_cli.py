@@ -2,8 +2,9 @@
 import json
 
 from helike.cli import main
-from helike.formats import read_csv
 from helike.pipeline import default_gamma
+
+from helpers import read_csv
 
 
 def run(argv):
@@ -91,6 +92,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # gamma = 0 would put NaN knots on the exponential grid
     cfg.write_text("gamma = 0\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    # a negative gamma clusters the knots at the box edge: E = -0.80, not
+    # -2.90, for He l1,n5
+    cfg.write_text("gamma = -3\nz = 2\nl_max = 1\nn_max = 5\n")
+    assert run(["solve", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 1
     assert run(["zscan", "--charges", ",", "--out", str(tmp_path)]) == 1
     # zscan solves --states, so a config file's state would go unused
     cfg.write_text("state = 1s3s-1S\n")

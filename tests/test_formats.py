@@ -10,7 +10,6 @@ from helike.formats import (
     convergence_rows,
     load_config_file,
     parse_config_text,
-    read_csv,
     scan_rows,
     solve_rows,
     spectrum_rows,
@@ -20,6 +19,8 @@ from helike.formats import (
     write_scan_svg,
 )
 from helike.pipeline import RunConfig, run_solve, run_zscan
+
+from helpers import read_csv
 
 
 def test_parse_config_text():

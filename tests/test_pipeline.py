@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helike import pipeline
+from helike import ci, pipeline
 from helike.errors import InvalidParameterError
 from helike.pipeline import (
     SCAN_DEFAULTS,
@@ -69,7 +69,9 @@ def test_config_resolution_and_validation():
         RunConfig(state="2p3p").validate()
     # checked before resolve() feeds them to the box and gamma policies
     for bad in ({"z": math.inf}, {"z": math.nan}, {"r_max": 0.0},
-                {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan}):
+                {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan},
+                {"gamma": 0.0}, {"gamma": -3.0}, {"gamma": math.inf},
+                {"gamma": math.nan}):
         with pytest.raises(InvalidParameterError):
             RunConfig(**bad).validate()
 
@@ -125,39 +127,41 @@ def test_run_convergence_triplet_bound():
 def test_lowest_root_solves_match_full_eigh(monkeypatch):
     """solve_in_context and run_convergence agree with full-eigh solves.
 
-    With LOWEST_ROOTS past every dimension each solve is the full eigh.
+    With DAVIDSON_MIN_DIM past every dimension each solve is the full eigh.
     """
-    tops = []
+    calls = []
     diagonalize = pipeline.diagonalize
 
     def recording(H, top=None):
-        tops.append(top)
-        return diagonalize(H, top)
+        spectrum = diagonalize(H, top)
+        calls.append((top, spectrum))
+        return spectrum
 
     monkeypatch.setattr(pipeline, "diagonalize", recording)
 
     def outcomes():
-        out, fallbacks = {}, set()
+        out, solves = {}, {}
         for z in (1.0, 2.0):
             for base in ({"l_max": 3, "n_max": 25}, SCAN_DEFAULTS):
                 ctx = build_context(RunConfig(z=z, **base))
                 for state in ("ground", "1s2s-1S", "1s2s-3S"):
-                    tops.clear()
+                    calls.clear()
                     r = solve_in_context(ctx, state)
                     key = (z, base["n_max"], state)
                     out[key] = (r.energy, r.s_linear, r.s_von_neumann,
                                 r.selection, r.ambiguous)
-                    if None in tops:
-                        fallbacks.add(key)
+                    solves[key] = list(calls)
             for state in ("1s2s-1S", "1s2s-3S"):
                 table = run_convergence(RunConfig(z=z, state=state),
                                         [2, 3], [15, 25])
                 out[z, state] = [(r.l_max, r.n_max, r.energy, r.s_linear,
                                   r.s_von_neumann) for r in table.rows]
-        return out, fallbacks
+        return out, solves
 
-    lowest, fallbacks = outcomes()
-    monkeypatch.setattr(pipeline, "LOWEST_ROOTS", 10**6)
+    lowest, solves = outcomes()
+    fallbacks = {key for key, made in solves.items()
+                 if None in [top for top, _ in made]}
+    monkeypatch.setattr(ci, "DAVIDSON_MIN_DIM", 10**6)
     full, _ = outcomes()
     assert lowest.keys() == full.keys()
     for key, got in lowest.items():
@@ -169,10 +173,18 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
         else:
             assert got[3:] == want[3:], key
             assert_allclose(got[:3], want[:3], rtol=1e-10, atol=1e-10)
-    # at Z = 1, l3,n25 the 12 lowest roots cannot prove the 1s2s picks
+    # at Z = 1, l3,n25 the first rung cannot prove the 1s2s picks
     assert (1.0, 25, "1s2s-1S") in fallbacks
     assert (1.0, 25, "1s2s-3S") in fallbacks
     assert (2.0, 25, "ground") not in fallbacks
+    # at Z = 2, l3,n25 one converged Davidson solve of roots 0..n2 - S
+    # proves each pick; davidson's own eigh fallback would leave
+    # ritz_error None
+    for state in ("ground", "1s2s-1S", "1s2s-3S"):
+        pair, spin = parse_state(state)
+        (top, spectrum), = solves[2.0, 25, state]
+        assert top == pair[1] - spin
+        assert spectrum.ritz_error is not None
 
 
 def test_run_zscan_rows_and_failures(monkeypatch):
