@@ -3,13 +3,12 @@
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
 for one (Z, state).  Every CI solve first computes only the roots its
 target needs and diagonalizes in full only when they cannot prove the pick
-(lowest_state).
-Convergence tables reuse one large Hamiltonian and solve its principal
-submatrices.  Z scans walk a charge grid down to the critical region near
-Z = 1, enlarging the radial box as the outer electron delocalizes, solve
-all states of one charge in one context (whose single assembly computes
-each R^k block once for both spins), and never let one failed row abort
-the rest.
+(lowest_state).  Convergence tables reuse one large Hamiltonian and
+solve its principal submatrices.  Z scans walk a charge grid down to the
+critical region near Z = 1, enlarging the radial box as the outer
+electron delocalizes, solve all states of one charge in one context
+(whose single assembly computes each R^k block once for both spins), and
+never let one failed row abort the rest.
 """
 from __future__ import annotations
 
@@ -171,15 +170,16 @@ def lowest_state(H: np.ndarray | None, configs: ConfigList,
     from DAVIDSON_MIN_DIM rows on, the complete eigh below): the target's
     Hylleraas-Undheim-MacDonald rank n2 - 1 - S and one root above it,
     which sets davidson's Ritz gap.  It reuses spectrum, an earlier solve
-    of H, when that already holds them.  When select_state cannot prove
-    the pick from a partial spectrum, the second rung diagonalizes H in
-    full.  Returns the state and the widest spectrum solved.  H may be
-    None only when spectrum is complete.
+    of H, when that holds them, else starts Davidson from its columns.
+    When select_state cannot prove the pick from a partial spectrum, the
+    second rung diagonalizes H in full.  Returns the state and the widest
+    spectrum solved.  H may be None only when spectrum is complete.
     """
     top = pair[1] - configs.S
     if spectrum is None or not (spectrum.complete
                                 or len(spectrum.eigenvalues) > top):
-        spectrum = diagonalize(H, top)
+        guess = None if spectrum is None else spectrum.eigenvectors
+        spectrum = diagonalize(H, top, guess)
     state = select_state(spectrum, configs, pair)
     if state is None:
         spectrum = diagonalize(H)

@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import BSplineBasis, make_knots
-from .ci import (CIState, assemble_hamiltonian, build_config_list,
-                 coupling_coefficient, davidson, diagonalize)
+from .ci import (START_BLOCK, CIState, assemble_hamiltonian,
+                 build_config_list, coupling_coefficient, davidson,
+                 diagonalize)
 from .crosscheck import (
     coupling_coefficient_msum,
     hamiltonian_msum,
@@ -88,9 +89,9 @@ def check_coupling_coefficients(l_cut=4, k_cut=8) -> float:
     return worst
 
 
-def _toy_hamiltonians(orbitals, slater):
+def _toy_hamiltonians(orbitals, slater, n_max=3):
     """Singlet and triplet toy lists with their H, assembled in one call."""
-    lists = [build_config_list(1, 3, S) for S in (0, 1)]
+    lists = [build_config_list(1, n_max, S) for S in (0, 1)]
     return zip(lists, assemble_hamiltonian(lists, orbitals, slater))
 
 
@@ -118,19 +119,19 @@ def _toy_states():
 
 
 def check_lowest_roots() -> float:
-    """Roots 0..2 of Davidson vs the full eigh.
+    """Roots 0..2 of Davidson vs the full eigh, on the l1,n8 toy lists.
 
-    Both toy spins.  The toy matrices are below the Davidson cut and
-    narrower than its start subspace, so the solver is called directly and
-    its first Rayleigh-Ritz step spans the whole space; a Davidson call
-    that falls back to eigh fails the check.  Worst eigenvalue difference
-    and worst 1 - |overlap| of the vectors.
+    Both spins, 64 and 49 rows; each root keeps over 1e-8 of its weight off
+    any START_BLOCK rows, so Davidson must iterate to pass.  A toy matrix
+    that breaks this, or a Davidson call that falls back to eigh, fails
+    the check.  Worst eigenvalue difference and worst 1 - |overlap|.
     """
     worst = 0.0
-    for _, H in _toy_hamiltonians(*_toy_context()):
+    for _, H in _toy_hamiltonians(*_toy_context(n_max=8), n_max=8):
         full = diagonalize(H)
         part = davidson(H, 2)
-        if part.ritz_error is None:
+        held = np.sort(full.eigenvectors[:, :3] ** 2, axis=0)[-START_BLOCK:]
+        if part.ritz_error is None or held.sum(axis=0).max() >= 1 - 1e-8:
             return math.inf
         overlap = np.abs(np.sum(full.eigenvectors[:, :3] * part.eigenvectors,
                                 axis=0))

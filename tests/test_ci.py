@@ -251,7 +251,8 @@ def test_davidson_matches_eigh(toy):
     """davidson, called below and above the cut, vs scipy.linalg.eigh."""
     orbitals, slater = toy
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
-    cases = [(H, 2) for H in assemble_hamiltonian(lists, orbitals, slater)]
+    cases = [(H, 2, None)
+             for H in assemble_hamiltonian(lists, orbitals, slater)]
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, l_max=3, n_max=25))
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
@@ -259,10 +260,12 @@ def test_davidson_matches_eigh(toy):
         # lowest_state's first rungs, roots 0..n2 - S for the ground and
         # 1s2s targets (the Z = 1 ground rung converges only from the wide
         # start subspace), and 12 roots
-        cases += [(H, top) for H, tops in zip(Hs, ((1, 2, 11), (1, 11)))
+        cases += [(H, top, None) for H, tops in zip(Hs, ((1, 2, 11), (1, 11)))
                   for top in tops]
-    for H, top in cases:
-        spec = davidson(H, top)
+        # the 1s2s 1S rung started from the ground rung, as in a context
+        cases.append((Hs[0], 2, davidson(Hs[0], 1).eigenvectors))
+    for H, top, guess in cases:
+        spec = davidson(H, top, guess)
         assert spec.ritz_error is not None   # converged, no fallback
         eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=(0, top))
         cols = np.arange(top + 1)

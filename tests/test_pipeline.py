@@ -132,9 +132,9 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
     calls = []
     diagonalize = pipeline.diagonalize
 
-    def recording(H, top=None):
-        spectrum = diagonalize(H, top)
-        calls.append((top, spectrum))
+    def recording(H, top=None, guess=None):
+        spectrum = diagonalize(H, top, guess)
+        calls.append((top, spectrum, guess))
         return spectrum
 
     monkeypatch.setattr(pipeline, "diagonalize", recording)
@@ -160,7 +160,7 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
 
     lowest, solves = outcomes()
     fallbacks = {key for key, made in solves.items()
-                 if None in [top for top, _ in made]}
+                 if None in [top for top, _, _ in made]}
     monkeypatch.setattr(ci, "DAVIDSON_MIN_DIM", 10**6)
     full, _ = outcomes()
     assert lowest.keys() == full.keys()
@@ -180,11 +180,14 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
     # at Z = 2, l3,n25 one converged Davidson solve of roots 0..n2 - S
     # proves each pick; davidson's own eigh fallback would leave
     # ritz_error None
-    for state in ("ground", "1s2s-1S", "1s2s-3S"):
+    # the 1s2s 1S rung starts from the ground rung's two roots, and the
+    # first solve of each spin from unit vectors alone
+    for state, start in (("ground", None), ("1s2s-1S", 2), ("1s2s-3S", None)):
         pair, spin = parse_state(state)
-        (top, spectrum), = solves[2.0, 25, state]
+        (top, spectrum, guess), = solves[2.0, 25, state]
         assert top == pair[1] - spin
         assert spectrum.ritz_error is not None
+        assert (None if guess is None else guess.shape[1]) == start
 
 
 def test_run_zscan_rows_and_failures(monkeypatch):
