@@ -169,24 +169,21 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
         )
     l_max = config_lists[0].l_max
     blocks = [c.blocks() for c in config_lists]
-    # Peak estimate: every H, plus the l = 0 working set (the most orbitals
-    # and configurations): the R^k block G with the one tile that
-    # rank_block symmetrizes it through, one accumulator per list, and the
-    # direct/exchange gathers of one list with their weighted sum.
-    n_orb = orbitals.orbitals(0).n_orbitals
+    # Peak estimate: every H, what rank_block holds at once, plus the l = 0
+    # working set (the most configurations): one accumulator per list, and
+    # the direct/exchange gathers of one list with their weighted sum.
     n_cfg = [b[0][0].stop for b in blocks]
     h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
-    g_bytes = 8 * n_orb**4
-    tile_bytes = 8 * min(SYMMETRIZE_TILE, n_orb**2) ** 2
+    rk_bytes = slater.peak_bytes(l_max)
     acc_bytes = 8 * sum(n * n for n in n_cfg)
     gather_bytes = 24 * max(n_cfg) ** 2
-    need = h_bytes + g_bytes + tile_bytes + acc_bytes + gather_bytes
+    need = h_bytes + rk_bytes + acc_bytes + gather_bytes
     if need > memory_budget:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
-            f"largest R^k block {g_bytes} with a {tile_bytes}-byte "
-            f"symmetrization tile, accumulators {acc_bytes}, gathers "
-            f"{gather_bytes} (budget {memory_budget}); reduce l_max/n_max"
+            f"R^k working set {rk_bytes}, accumulators {acc_bytes}, "
+            f"gathers {gather_bytes} (budget {memory_budget}); reduce "
+            "l_max/n_max"
         )
     Hs = [np.zeros((len(c), len(c))) for c in config_lists]
     for la in range(l_max + 1):

@@ -83,10 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--states", default="1s2s-1S,1s2s-3S",
                         help="comma-separated state specs")
 
-    p_self = sub.add_parser("selftest",
-                            help="run the built-in cross-check suites")
-    p_self.add_argument("--fast", action="store_true",
-                        help="skip the slower brute-force comparisons")
+    sub.add_parser("selftest", help="run the built-in cross-check suites")
     return parser
 
 
@@ -187,7 +184,7 @@ def cmd_zscan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok = selftest.run_all(fast=args.fast, stream=sys.stdout)
+    ok = selftest.run_all(stream=sys.stdout)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -2,15 +2,16 @@
 
 Everything here recomputes a production quantity by a slower, more explicit
 route: magnetic-quantum-number summations over Clebsch-Gordan expansions
-instead of closed-form recoupling, and the explicit (n, l, m)-resolved
-reduced density matrix instead of the per-l block construction.  The
-production code never calls into this module; the `selftest` CLI verb and
-the test suite do.
+instead of closed-form recoupling, the explicit (n, l, m)-resolved reduced
+density matrix instead of the per-l block construction, and scalar radial
+Slater integrals instead of whole rank blocks.  The production code never
+calls into this module; the `selftest` CLI verb and the test suite do.
 
-`hamiltonian_msum` reads its radial Slater integrals from the same kernel as
-production (`SlaterIntegralTable.integral`), so it checks the angular and CSF
-algebra only; R^k itself is checked against the hydrogenic closed forms in
-`selftest.HYDROGENIC_RK`.
+`slater_integral` reads one R^k from the same routine as production
+(`SlaterIntegralTable._block`), averaged over both quadrature orientations,
+so `hamiltonian_msum`, which takes its radial integrals from it, checks the
+angular and CSF algebra only; R^k itself is checked against the hydrogenic
+closed forms in `selftest.HYDROGENIC_RK`.
 """
 from __future__ import annotations
 
@@ -75,6 +76,21 @@ def coupling_coefficient_msum(l1, l2, l3, l4, L, k, M=0) -> float:
     return acc
 
 
+def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d) -> float:
+    """Scalar R^k(a b, c d) with orbital labels (n, l).
+
+    Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
+    = R^k(cd,ab) so that all four give the same float.  The two
+    quadrature orientations (which electron sits on the outer grid) are
+    averaged, as the symmetrization of rank_block does.
+    """
+    key = min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
+    (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
+        (n - l - 1, l) for n, l in key)
+    return float(0.5 * (slater._block(k, la, lc, lb, ld)[ia, ic, ib, id_]
+                        + slater._block(k, lb, ld, la, lc)[ib, id_, ia, ic]))
+
+
 def _det_product_terms(det):
     """Expand a normalized 2x2 determinant into signed product terms.
 
@@ -103,8 +119,8 @@ def _product_h_element(bra, ket, orbitals: RadialOrbitalSet,
                 ang = multipole_element(la, ma, lb, mb, lc, mc, ld, md, k)
                 if ang == 0.0:
                     continue
-                rk = slater.integral(
-                    k, (a[0], la), (b[0], lb), (c[0], lc), (d[0], ld)
+                rk = slater_integral(
+                    slater, k, (a[0], la), (b[0], lb), (c[0], lc), (d[0], ld)
                 )
                 val += ang * rk
     return val

@@ -3,18 +3,20 @@
 R^k(a b, c d) = int int chi_a(r1) chi_c(r1) [r_<^k / r_>^{k+1}]
                         chi_b(r2) chi_d(r2) dr1 dr2
 
-is computed by the two-pass cumulative method: for every outer quadrature
-point r1 the inner integral splits into a prefix part int_0^{r1} r2^k .. dr2
-times r1^{-k-1} plus a suffix part r1^k int_{r1}^R r2^{-k-1} .. dr2.  Whole
-cells left/right of r1's cell are accumulated from per-cell moments; the
-partially covered cell is integrated on dedicated sub-cell Gauss-Legendre
-nodes (precomputed per outer point), keeping the quadrature exact for the
-piecewise-polynomial integrand on both sides of the kernel kink at r1 = r2.
+The outer integral runs over the main quadrature grid.  For every outer
+point r1 = r_q the inner integral splits by cell: the cells other than r_q's
+are a matrix product with the kernel K_k[q', q] = w_q' r_<^k / r_>^{k+1},
+which depends only on the grid and k and is zero inside r_q's own cell; that
+cell is integrated on dedicated sub-cell Gauss-Legendre nodes either side of
+r_q, keeping the quadrature exact for the piecewise-polynomial integrand on
+both sides of the kernel kink at r1 = r2.  Each quadrature term enters the
+inner sum once: a partial sum minus the own cell's terms would cancel most
+digits near the nucleus at high k, where those terms dominate.
 
-One kernel, `_block`, computes every integral for one (k, four l's)
+One routine, `_block`, computes every integral for one (k, four l's)
 combination as a dense tensor via one matrix product and keeps nothing.
-Production runs read it through `rank_block`; the scalar `integral`, an
-oracle and test entry point, indexes the same tensor.
+Production runs read it through `rank_block`; the scalar oracle in
+crosscheck.py indexes the same tensor.
 """
 from __future__ import annotations
 
@@ -40,70 +42,58 @@ class SlaterIntegralTable:
         self.cell = basis.quad_cell
         x, gw = np.polynomial.legendre.leggauss(SUBCELL_POINTS)
         bp = basis.breakpoints
-        lo = bp[self.cell]          # left edge of each outer point's cell
-        hi = bp[self.cell + 1]      # right edge
-        # sub-cell nodes/weights covering [lo, r1] and [r1, hi]
-        half_l = 0.5 * (r - lo)
-        half_r = 0.5 * (hi - r)
-        self.sub_left = lo[:, None] + half_l[:, None] * (x[None, :] + 1.0)
-        self.sub_wl = half_l[:, None] * gw[None, :]
-        self.sub_right = r[:, None] + half_r[:, None] * (x[None, :] + 1.0)
-        self.sub_wr = half_r[:, None] * gw[None, :]
-        # orbital values: main grid and sub-cell nodes, lazily per l
-        self._vals_main: dict[int, np.ndarray] = {}
-        self._vals_left: dict[int, np.ndarray] = {}
-        self._vals_right: dict[int, np.ndarray] = {}
+        # sub-cell nodes/weights of each outer point r1's cell [lo, hi]:
+        # SUBCELL_POINTS on [lo, r1], then as many on [r1, hi]
+        edges = np.stack((bp[self.cell], r, bp[self.cell + 1]), axis=1)
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        nodes = edges[:, :2, None] + half * (x + 1.0)
+        self.sub_r = nodes.reshape(len(r), -1)
+        self.sub_w = (half * gw).reshape(len(r), -1)
+        # orbital values on the main grid and the sub-cell nodes, lazily per l
+        self._vals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- orbital sampling ---------------------------------------------------
+    def _samples(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """chi_nl for one l on the main grid, shape (n_orb, n_points), and
+        on the sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS), from
+        one values_at call."""
+        if l not in self._vals:
+            nq = len(self.r)
+            v = self.orbitals.values_at(
+                l, np.concatenate((self.r, self.sub_r.ravel())))
+            self._vals[l] = (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
+        return self._vals[l]
 
-    def _main(self, l: int) -> np.ndarray:
-        if l not in self._vals_main:
-            self._vals_main[l] = self.orbitals.values_at(l, self.r)
-        return self._vals_main[l]
+    def _kernel(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature weights of r_<^k / r_>^{k+1} for each outer point r_q.
 
-    def _left(self, l: int) -> np.ndarray:
-        if l not in self._vals_left:
-            v = self.orbitals.values_at(l, self.sub_left.ravel())
-            self._vals_left[l] = v.reshape(-1, *self.sub_left.shape)
-        return self._vals_left[l]
+        K[q', q] on the main-grid points q' outside r_q's cell (zero inside
+        it), and sub[q, s] on the sub-cell nodes of r_q's cell.
+        """
+        def weights(w, x, rq):
+            lo, hi = np.minimum(x, rq), np.maximum(x, rq)
+            return w * (lo / hi) ** k / hi
 
-    def _right(self, l: int) -> np.ndarray:
-        if l not in self._vals_right:
-            v = self.orbitals.values_at(l, self.sub_right.ravel())
-            self._vals_right[l] = v.reshape(-1, *self.sub_right.shape)
-        return self._vals_right[l]
-
-    # -- inner (cumulative) kernels -----------------------------------------
+        r = self.r
+        K = weights(self.w[:, None], r[:, None], r[None, :])
+        K[self.cell[:, None] == self.cell[None, :]] = 0.0
+        return K, weights(self.sub_w, self.sub_r, r[:, None])
 
     def _inner(self, k: int, lb: int, ld: int) -> np.ndarray:
         """V[b, d, q] = inner integral for pair (b in lb, d in ld) at r1 = r_q.
 
-        V = r_q^{-k-1} * int_0^{r_q} r^k chi_b chi_d dr
-          + r_q^k      * int_{r_q}^R r^{-k-1} chi_b chi_d dr
+        V = int_0^R r_<^k / r_>^{k+1} chi_b chi_d dr,  r_< = min(r, r_q)
         """
-        r, w, cell = self.r, self.w, self.cell
-        n_cells = self.basis.n_cells
-        Xb, Xd = self._main(lb), self._main(ld)
-        prod = np.einsum("bq,dq->bdq", Xb, Xd)
-        # per-cell moments on the main grid (points are cell-major, p per cell)
-        p = self.basis.quad_order
-        mom_lo = prod * (w * r**k)
-        mom_hi = prod * (w * r ** (-k - 1))
-        cs_lo = mom_lo.reshape(*prod.shape[:2], n_cells, p).sum(axis=3)
-        cs_hi = mom_hi.reshape(*prod.shape[:2], n_cells, p).sum(axis=3)
-        prefix = np.cumsum(cs_lo, axis=2) - cs_lo        # cells left of it
-        suffix = (np.cumsum(cs_hi[:, :, ::-1], axis=2)[:, :, ::-1] - cs_hi)
-        # partially covered cell via sub-cell quadrature: one (b, s) @ (s, d)
-        # product per outer point q, batched over q
-        wl_k = self.sub_wl * self.sub_left**k
-        wr_k = self.sub_wr * self.sub_right ** (-k - 1)
-        Lb, Ld = self._left(lb), self._left(ld)
-        Rb, Rd = self._right(lb), self._right(ld)
-        part_lo = (Lb * wl_k).transpose(1, 0, 2) @ Ld.transpose(1, 2, 0)
-        part_hi = (Rb * wr_k).transpose(1, 0, 2) @ Rd.transpose(1, 2, 0)
-        P = prefix[:, :, cell] + part_lo.transpose(1, 2, 0)
-        Q = suffix[:, :, cell] + part_hi.transpose(1, 2, 0)
-        return P * r ** (-k - 1) + Q * r**k
+        K, sub = self._kernel(k)
+        Xb, Sb = self._samples(lb)
+        Xd, Sd = self._samples(ld)
+        nq = len(self.r)
+        V = (np.einsum("bq,dq->bdq", Xb, Xd).reshape(-1, nq) @ K
+             ).reshape(len(Xb), len(Xd), nq)
+        # r_q's own cell: one (b, s) @ (s, d) product per outer point q,
+        # batched over q
+        own = (Sb * sub).transpose(1, 0, 2) @ Sd.transpose(1, 2, 0)
+        V += own.transpose(1, 2, 0)
+        return V
 
     def _block(self, k: int, la: int, lc: int, lb: int, ld: int) -> np.ndarray:
         """B[a, c, b, d] = R^k((a,la)(b,lb), (c,lc)(d,ld)), one orientation.
@@ -111,14 +101,28 @@ class SlaterIntegralTable:
         The pair (a, c) sits on the outer quadrature, (b, d) in the inner
         integral; the two orientations agree to quadrature accuracy.
         """
-        Xa, Xc = self._main(la), self._main(lc)
+        V = self._inner(k, lb, ld)  # before U: peak_bytes counts two arrays
+        nb, nd = V.shape[:2]
+        Xa, Xc = self._samples(la)[0], self._samples(lc)[0]
         na, nc = Xa.shape[0], Xc.shape[0]
         U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
-        V = self._inner(k, lb, ld)
-        nb, nd = V.shape[:2]
         return (U @ V.reshape(nb * nd, -1).T).reshape(na, nc, nb, nd)
 
     # -- public API ---------------------------------------------------------
+
+    def peak_bytes(self, l_max: int) -> int:
+        """Most that rank_block holds at once for l <= l_max, in bytes.
+
+        The orbital samples it caches for every l, and at l = 0, which has
+        the most orbitals: the block with one symmetrization tile, two
+        n_orb^2 x n_points arrays (V beside the pair product, the own-cell
+        part or U) and the kernel matrix K.
+        """
+        nq = len(self.r)
+        n = [self.orbitals.orbitals(l).n_orbitals for l in range(l_max + 1)]
+        samples = (1 + 2 * SUBCELL_POINTS) * nq * sum(n)
+        block = n[0] ** 4 + min(SYMMETRIZE_TILE, n[0] ** 2) ** 2
+        return 8 * (samples + block + 2 * n[0] ** 2 * nq + nq**2)
 
     def rank_block(self, k: int, la: int, lc: int) -> np.ndarray:
         """All R^k for electron pairs drawn from (la, lc).
@@ -142,19 +146,3 @@ class SlaterIntegralTable:
                 upper[...] = tile
                 lower[...] = tile.T
         return G
-
-    def integral(self, k: int, a, b, c, d) -> float:
-        """Scalar R^k(a b, c d) with orbital labels (n, l); oracle use only.
-
-        Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
-        = R^k(cd,ab) so that all four give the same float.  The two
-        quadrature orientations (which electron sits on the outer grid) are
-        averaged, as the symmetrization of rank_block does.
-        """
-        key = min(
-            (a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)
-        )
-        (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
-            (n - l - 1, l) for n, l in key)
-        return float(0.5 * (self._block(k, la, lc, lb, ld)[ia, ic, ib, id_]
-                            + self._block(k, lb, ld, la, lc)[ib, id_, ia, ic]))

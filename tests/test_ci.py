@@ -1,4 +1,6 @@
 """Configuration lists, CI Hamiltonian assembly, and state selection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,7 @@ from helike.crosscheck import hamiltonian_msum
 from helike.errors import InconsistentInputError, InvalidParameterError
 from helike.orbitals import build_orbital_set
 from helike.pipeline import SCAN_DEFAULTS, RunConfig, build_context
-from helike.slater import SlaterIntegralTable
+from helike.slater import SUBCELL_POINTS, SlaterIntegralTable
 
 @pytest.fixture(scope="module")
 def toy():
@@ -84,14 +86,35 @@ def test_memory_budget(toy):
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs], orbitals, slater,
                              memory_budget=budget)
-    # room for the singlet build alone, but not for singlet plus triplet
+    # room for the singlet build alone, but not for singlet plus triplet;
+    # the R^k kernel's working set counts too: orbital samples on the main
+    # and both sub-cell grids, two n_orb^2 x Q pair arrays and the Q x Q K
     n_cfg = configs.blocks()[0][0].stop
-    alone = 8 * (len(configs) ** 2 + 2 * n_orb**4 + 4 * n_cfg**2)
+    nq = len(slater.r)
+    n_samples = n_orb + orbitals.orbitals(1).n_orbitals
+    kernel = ((1 + 2 * SUBCELL_POINTS) * nq * n_samples
+              + 2 * n_orb**2 * nq + nq**2)
+    alone = 8 * (len(configs) ** 2 + 2 * n_orb**4 + 4 * n_cfg**2 + kernel)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs, triplets], orbitals, slater,
                              memory_budget=alone)
     assemble_hamiltonian([configs], orbitals, slater, memory_budget=alone)
+
+
+def test_memory_estimate_covers_traced_peak():
+    # one real assembly: a budget one byte below its traced peak must fail
+    ctx = build_context(RunConfig(z=2.0, l_max=0, n_max=40))
+    configs = build_config_list(0, 40, 0)
+    tracemalloc.start()
+    try:
+        assemble_hamiltonian([configs], ctx.orbitals, ctx.slater)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(MemoryError):
+        assemble_hamiltonian([configs], ctx.orbitals, ctx.slater,
+                             memory_budget=peak - 1)
 
 
 def test_both_spins_in_one_call_match_single_spin(toy):

@@ -126,8 +126,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert "failed: Z=inf" in capsys.readouterr().err
 
 
-def test_selftest_fast(capsys):
-    assert run(["selftest", "--fast"]) == 0
+def test_selftest(capsys):
+    assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 

@@ -1,9 +1,12 @@
 """Radial Slater integrals: closed forms, symmetries, charge scaling."""
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helike.bspline import BSplineBasis, make_knots
+from helike.crosscheck import slater_integral
 from helike.orbitals import build_orbital_set
 from helike.selftest import HYDROGENIC_RK
 from helike.slater import SlaterIntegralTable
@@ -26,13 +29,13 @@ def test_ground_direct_integral_closed_form():
     # R^0(1s1s,1s1s) = 5Z/8 for hydrogenic 1s orbitals
     for Z in (1.0, 2.0, 5.0):
         t = make_table(Z=Z, r_max=60.0 / Z, n_splines=35)
-        val = t.integral(0, (1, 0), (1, 0), (1, 0), (1, 0))
+        val = slater_integral(t, 0, (1, 0), (1, 0), (1, 0), (1, 0))
         assert_allclose(val, 5.0 * Z / 8.0, atol=1e-9)
 
 
 def test_1s2s_direct_integral_closed_form(table):
     # F^0(1s,2s) = int |1s(r1)|^2 |2s(r2)|^2 / r_> = 17Z/81
-    val = table.integral(0, (1, 0), (2, 0), (1, 0), (2, 0))
+    val = slater_integral(table, 0, (1, 0), (2, 0), (1, 0), (2, 0))
     assert_allclose(val, 17.0 * 2.0 / 81.0, atol=1e-10)
 
 
@@ -41,10 +44,10 @@ def test_scalar_symmetries(table):
     for _ in range(25):
         a, b, c, d = (labels[i] for i in RNG.integers(0, len(labels), 4))
         k = int(RNG.integers(0, 3))
-        base = table.integral(k, a, b, c, d)
-        assert table.integral(k, b, a, d, c) == base
-        assert table.integral(k, c, d, a, b) == base
-        assert table.integral(k, d, c, b, a) == base
+        base = slater_integral(table, k, a, b, c, d)
+        assert slater_integral(table, k, b, a, d, c) == base
+        assert slater_integral(table, k, c, d, a, b) == base
+        assert slater_integral(table, k, d, c, b, a) == base
 
 
 def _rk_key(k, a, b, c, d):
@@ -68,8 +71,8 @@ def test_hydrogenic_closed_forms():
         t = make_table(Z=Z, n_max=2, l_max=1, r_max=80.0 / Z, n_splines=60)
         exact = {}
         for k, a, b, c, d, value in HYDROGENIC_RK:
-            assert_allclose(t.integral(k, a, b, c, d), Z * float(value),
-                            rtol=1e-12)
+            assert_allclose(slater_integral(t, k, a, b, c, d),
+                            Z * float(value), rtol=1e-12)
             exact[_rk_key(k, a, b, c, d)] = Z * float(value)
         seen = set()
         for k, la, lc, (a, c, b, d) in IN_BLOCK:
@@ -91,14 +94,14 @@ def test_positive_direct_integrals(table):
     # k = 0 direct terms are repulsion energies of charge densities
     for n1 in range(1, 5):
         for n2 in range(1, 5):
-            val = table.integral(0, (n1, 0), (n2, 0), (n1, 0), (n2, 0))
+            val = slater_integral(table, 0, (n1, 0), (n2, 0), (n1, 0), (n2, 0))
             assert val > 0.0
 
 
 def test_monopole_dominates(table):
     # |R^k| decreases with k for fixed well-separated orbitals
-    v0 = table.integral(0, (2, 1), (2, 1), (2, 1), (2, 1))
-    v2 = table.integral(2, (2, 1), (2, 1), (2, 1), (2, 1))
+    v0 = slater_integral(table, 0, (2, 1), (2, 1), (2, 1), (2, 1))
+    v2 = slater_integral(table, 2, (2, 1), (2, 1), (2, 1), (2, 1))
     assert v0 > abs(v2) > 0.0
 
 
@@ -109,6 +112,33 @@ def test_charge_scaling():
     for (k, a, b, c, d) in [(0, (1, 0), (2, 0), (1, 0), (2, 0)),
                             (0, (1, 0), (2, 0), (2, 0), (1, 0)),
                             (1, (1, 0), (2, 1), (2, 1), (1, 0))]:
-        v1 = t1.integral(k, a, b, c, d)
-        v3 = t3.integral(k, a, b, c, d)
+        v1 = slater_integral(t1, k, a, b, c, d)
+        v3 = slater_integral(t3, k, a, b, c, d)
         assert_allclose(v3, 3.0 * v1, rtol=1e-8)
+
+
+def test_inner_integral_against_compensated_sum():
+    # At high k near the nucleus each outer point's own quadrature terms
+    # outweigh the rest of the inner integral by orders of magnitude, so a
+    # difference of partial sums loses digits there; the reference adds the
+    # same quadrature terms with math.fsum.
+    basis = BSplineBasis(make_knots(30.0, 12, 7))
+    t = SlaterIntegralTable(build_orbital_set(basis, 2.0, 8, 4))
+    k, l = 8, 4
+    r, w, cell = t.r, t.w, t.cell
+    X = t.orbitals.values_at(l, r)
+    sub = t.orbitals.values_at(l, t.sub_r.ravel()).reshape(len(X), len(r), -1)
+    V = t._inner(k, l, l)
+    worst = 0.0
+    for q, rq in enumerate(r):
+        # main-grid points outside r_q's cell, then its sub-cell nodes
+        out = cell != cell[q]
+        x = np.concatenate((r[out], t.sub_r[q]))
+        lo, hi = np.minimum(x, rq), np.maximum(x, rq)
+        terms = np.concatenate((w[out], t.sub_w[q])) * lo**k / hi ** (k + 1)
+        Y = np.concatenate((X[:, out], sub[:, q]), axis=1)
+        for b in range(len(X)):
+            for d in range(len(X)):
+                ref = math.fsum(terms * Y[b] * Y[d])
+                worst = max(worst, abs(V[b, d, q] - ref) / abs(ref))
+    assert worst <= 1e-12
