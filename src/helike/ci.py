@@ -9,13 +9,15 @@ functions is
       + f_ab f_cd sum_k c_k(la, lc) [ R^k(ab, cd) + (-1)^S R^k(ab, dc) ]
 
 with f_ab = 1/sqrt(1 + delta_ab) carrying the same-orbital singlet 1/sqrt(2)
-normalization and c_k the L = 0 closed form of coupling_coefficient.  Only
-the (-1)^S sign and the configuration list depend on the spin, so
-assemble_hamiltonian builds the singlet and the triplet H together: each
-R^k block is computed once and feeds both spins.  The angular factor and
-the (-1)^S exchange sign are fixed against the brute-force
-magnetic-quantum-number oracle in crosscheck.py, which shares no angular
-code with this module.
+normalization and c_k the L = 0 closed form of coupling_coefficient.  The
+sum over k is linear in R^k, so it is folded into the radial integrals:
+one block sum_k c_k R^k per (la, lc).  Only the (-1)^S sign and the
+configuration list depend on the spin, so assemble_hamiltonian builds the
+singlet and the triplet H together: each folded block is computed once
+and feeds both spins.  The angular factor, the fold and the (-1)^S
+exchange sign are fixed against the brute-force magnetic-quantum-number
+oracle in crosscheck.py, which shares no angular code with this module
+and sums the ranks one at a time.
 """
 from __future__ import annotations
 
@@ -154,10 +156,10 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
     """Dense symmetric CI Hamiltonians, one per configuration list.
 
     The lists (typically the singlet and the triplet one) must share l_max
-    and n_max.  Each R^k block is computed once and feeds every list: its
-    direct and exchange gathers are taken per list with that list's
-    blocks() indices and (-1)^S sign, in the same order as for a list
-    assembled alone, so each H is bit-identical to its one-list assembly.
+    and n_max.  Each folded block sum_k c_k R^k is computed once and feeds
+    every list: its direct and exchange gathers are taken per list with
+    that list's blocks() indices and (-1)^S sign, so each H is
+    bit-identical to its one-list assembly.
     """
     if orbitals is not slater.orbitals:
         raise InconsistentInputError(
@@ -169,43 +171,36 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
         )
     l_max = config_lists[0].l_max
     blocks = [c.blocks() for c in config_lists]
-    # Peak estimate: every H, what rank_block holds at once, plus the l = 0
-    # working set (the most configurations): one accumulator per list, and
-    # the direct/exchange gathers of one list with their weighted sum.
-    n_cfg = [b[0][0].stop for b in blocks]
+    # Peak estimate: every H, what folded_block holds at once, plus the
+    # l = 0 working set (the most configurations): one list's direct
+    # gather, its exchange gather and the signed exchange.
     h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
     rk_bytes = slater.peak_bytes(l_max)
-    acc_bytes = 8 * sum(n * n for n in n_cfg)
-    gather_bytes = 24 * max(n_cfg) ** 2
-    need = h_bytes + rk_bytes + acc_bytes + gather_bytes
+    gather_bytes = 24 * max(b[0][0].stop for b in blocks) ** 2
+    need = h_bytes + rk_bytes + gather_bytes
     if need > memory_budget:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
-            f"R^k working set {rk_bytes}, accumulators {acc_bytes}, "
-            f"gathers {gather_bytes} (budget {memory_budget}); reduce "
-            "l_max/n_max"
+            f"R^k working set {rk_bytes}, gathers {gather_bytes} "
+            f"(budget {memory_budget}); reduce l_max/n_max"
         )
     Hs = [np.zeros((len(c), len(c))) for c in config_lists]
     for la in range(l_max + 1):
         for lc in range(la, l_max + 1):
             # per list with configurations in both l blocks: its H, the two
-            # blocks' (rows, i, j), its exchange sign and an accumulator
-            parts = [(H, b[la], b[lc], -1.0 if c.S == 1 else 1.0,
-                      np.zeros((len(b[la][1]), len(b[lc][1]))))
+            # blocks' (rows, i, j) and its exchange sign
+            parts = [(H, b[la], b[lc], -1.0 if c.S == 1 else 1.0)
                      for H, b, c in zip(Hs, blocks, config_lists)
                      if len(b[la][1]) and len(b[lc][1])]
             if not parts:
                 continue
-            for k in multipole_ranks(la, lc):
-                ck = coupling_coefficient(la, lc, k)
-                G = slater.rank_block(k, la, lc)
-                for _, (_, A, B), (_, C, D), xsign, block in parts:
-                    direct = G[A[:, None], C[None, :], B[:, None], D[None, :]]
-                    exch = G[A[:, None], D[None, :], B[:, None], C[None, :]]
-                    block += ck * (direct + xsign * exch)
-                    del direct, exch
-                del G  # free before the next block is built
-            for H, (rows, A, B), (cols, C, D), _, block in parts:
+            G = slater.folded_block(
+                [(k, coupling_coefficient(la, lc, k))
+                 for k in multipole_ranks(la, lc)], la, lc)
+            for H, (rows, A, B), (cols, C, D), xsign in parts:
+                block = G[A[:, None], C[None, :], B[:, None], D[None, :]]
+                block += xsign * G[A[:, None], D[None, :], B[:, None],
+                                   C[None, :]]
                 f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
                 f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
                 block *= f_ab[:, None] * f_cd[None, :]
@@ -214,7 +209,8 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                     H[cols, rows] = block.T
                 else:
                     H[rows, cols] = 0.5 * (block + block.T)
-            del parts, block  # no accumulator outlives its (la, lc)
+                del block  # no gather outlives its list
+            del G  # free before the next block is built
         # one-body part: diagonal in the CSF basis of orbital eigenstates
         e = orbitals.orbitals(la).energies
         for H, b in zip(Hs, blocks):

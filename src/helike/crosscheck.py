@@ -4,14 +4,16 @@ Everything here recomputes a production quantity by a slower, more explicit
 route: magnetic-quantum-number summations over Clebsch-Gordan expansions
 instead of closed-form recoupling, the explicit (n, l, m)-resolved reduced
 density matrix instead of the per-l block construction, and scalar radial
-Slater integrals instead of whole rank blocks.  The production code never
-calls into this module; the `selftest` CLI verb and the test suite do.
+Slater integrals, one rank at a time, instead of folded blocks.  The
+production code never calls into this module; the `selftest` CLI verb and
+the test suite do.
 
-`slater_integral` reads one R^k from the same routine as production
-(`SlaterIntegralTable._block`), averaged over both quadrature orientations,
-so `hamiltonian_msum`, which takes its radial integrals from it, checks the
-angular and CSF algebra only; R^k itself is checked against the hydrogenic
-closed forms in `selftest.HYDROGENIC_RK`.
+`slater_integral` takes the inner integral of one R^k from the same
+routine as production (`SlaterIntegralTable.rank_block`), one rank at a
+time and for any four l's, and averages both quadrature orientations.  So
+`hamiltonian_msum`, which takes its radial integrals from it, checks the
+angular and CSF algebra and the production sum over ranks; R^k itself is
+checked against the hydrogenic closed forms in `selftest.HYDROGENIC_RK`.
 """
 from __future__ import annotations
 
@@ -82,13 +84,20 @@ def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d) -> float:
     Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
     = R^k(cd,ab) so that all four give the same float.  The two
     quadrature orientations (which electron sits on the outer grid) are
-    averaged, as the symmetrization of rank_block does.
+    averaged, as the symmetrization of folded_block does.
     """
     key = min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
     (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
         (n - l - 1, l) for n, l in key)
-    return float(0.5 * (slater._block(k, la, lc, lb, ld)[ia, ic, ib, id_]
-                        + slater._block(k, lb, ld, la, lc)[ib, id_, ia, ic]))
+
+    def oriented(ia, la, ic, lc, ib, lb, id_, ld):
+        # pair (a, c) on the outer quadrature, (b, d) in the inner integral
+        outer = (slater._samples(la)[0][ia] * slater.w
+                 * slater._samples(lc)[0][ic])
+        return outer @ slater.rank_block(k, lb, ld)[ib, id_]
+
+    return float(0.5 * (oriented(ia, la, ic, lc, ib, lb, id_, ld)
+                        + oriented(ib, lb, id_, ld, ia, la, ic, lc)))
 
 
 def _det_product_terms(det):

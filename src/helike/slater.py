@@ -13,10 +13,11 @@ both sides of the kernel kink at r1 = r2.  Each quadrature term enters the
 inner sum once: a partial sum minus the own cell's terms would cancel most
 digits near the nucleus at high k, where those terms dominate.
 
-One routine, `_block`, computes every integral for one (k, four l's)
-combination as a dense tensor via one matrix product and keeps nothing.
-Production runs read it through `rank_block`; the scalar oracle in
-crosscheck.py indexes the same tensor.
+Only the inner integral depends on k.  `rank_block` returns it for one
+rank and one pair of l's; `folded_block` sums the ranks a CI block needs,
+weighted by their angular factors, and takes the outer integral of the sum
+as one matrix product.  Neither keeps anything; the scalar oracle in
+crosscheck.py reads `rank_block` too.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .orbitals import RadialOrbitalSet
 
 SUBCELL_POINTS = 12
-# rank_block symmetrizes in tiles of this many rows and columns
+# folded_block symmetrizes in tiles of this many rows and columns
 SYMMETRIZE_TILE = 256
 
 
@@ -78,14 +79,33 @@ class SlaterIntegralTable:
         K[self.cell[:, None] == self.cell[None, :]] = 0.0
         return K, weights(self.sub_w, self.sub_r, r[:, None])
 
-    def _inner(self, k: int, lb: int, ld: int) -> np.ndarray:
-        """V[b, d, q] = inner integral for pair (b in lb, d in ld) at r1 = r_q.
+    # -- public API ---------------------------------------------------------
+
+    def peak_bytes(self, l_max: int) -> int:
+        """Most that folded_block holds at once for l <= l_max, in bytes.
+
+        The orbital samples it caches for every l, plus the larger of its
+        two phases at l = 0, which has the most orbitals: the rank sum W
+        beside one rank_block call (its V, the pair product or the
+        own-cell part, and the kernel matrix K); then W, U and the block
+        with one symmetrization tile.
+        """
+        nq = len(self.r)
+        n = [self.orbitals.orbitals(l).n_orbitals for l in range(l_max + 1)]
+        samples = (1 + 2 * SUBCELL_POINTS) * nq * sum(n)
+        pairs = n[0] ** 2 * nq
+        ranks = 3 * pairs + nq**2
+        outer = 2 * pairs + n[0] ** 4 + min(SYMMETRIZE_TILE, n[0] ** 2) ** 2
+        return 8 * (samples + max(ranks, outer))
+
+    def rank_block(self, k: int, la: int, lc: int) -> np.ndarray:
+        """V[b, d, q] = rank-k inner integral for b in la, d in lc at r1 = r_q.
 
         V = int_0^R r_<^k / r_>^{k+1} chi_b chi_d dr,  r_< = min(r, r_q)
         """
         K, sub = self._kernel(k)
-        Xb, Sb = self._samples(lb)
-        Xd, Sd = self._samples(ld)
+        Xb, Sb = self._samples(la)
+        Xd, Sd = self._samples(lc)
         nq = len(self.r)
         V = (np.einsum("bq,dq->bdq", Xb, Xd).reshape(-1, nq) @ K
              ).reshape(len(Xb), len(Xd), nq)
@@ -95,46 +115,26 @@ class SlaterIntegralTable:
         V += own.transpose(1, 2, 0)
         return V
 
-    def _block(self, k: int, la: int, lc: int, lb: int, ld: int) -> np.ndarray:
-        """B[a, c, b, d] = R^k((a,la)(b,lb), (c,lc)(d,ld)), one orientation.
+    def folded_block(self, terms: list[tuple[int, float]], la: int,
+                     lc: int) -> np.ndarray:
+        """G = sum_k c_k R^k for electron pairs drawn from (la, lc).
 
-        The pair (a, c) sits on the outer quadrature, (b, d) in the inner
-        integral; the two orientations agree to quadrature accuracy.
+        terms is [(k, c_k), ...].  Returns G with G[a, c, b, d] =
+        sum_k c_k R^k( (a,la)(b,la), (c,lc)(d,lc) ) where a, b index
+        orbitals of la and c, d orbitals of lc.  Only the inner integral
+        depends on k, so the ranks are summed there, in place, and the
+        outer product over the pair (a, c) is taken once.  By the symmetry
+        of the integrand G[a, c, b, d] == G[b, d, a, c]; the result is
+        symmetrized so this holds exactly.
         """
-        V = self._inner(k, lb, ld)  # before U: peak_bytes counts two arrays
-        nb, nd = V.shape[:2]
+        (k, ck), *rest = terms
+        W = self.rank_block(k, la, lc) * ck
+        for k, ck in rest:
+            W += ck * self.rank_block(k, la, lc)
         Xa, Xc = self._samples(la)[0], self._samples(lc)[0]
         na, nc = Xa.shape[0], Xc.shape[0]
         U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
-        return (U @ V.reshape(nb * nd, -1).T).reshape(na, nc, nb, nd)
-
-    # -- public API ---------------------------------------------------------
-
-    def peak_bytes(self, l_max: int) -> int:
-        """Most that rank_block holds at once for l <= l_max, in bytes.
-
-        The orbital samples it caches for every l, and at l = 0, which has
-        the most orbitals: the block with one symmetrization tile, two
-        n_orb^2 x n_points arrays (V beside the pair product, the own-cell
-        part or U) and the kernel matrix K.
-        """
-        nq = len(self.r)
-        n = [self.orbitals.orbitals(l).n_orbitals for l in range(l_max + 1)]
-        samples = (1 + 2 * SUBCELL_POINTS) * nq * sum(n)
-        block = n[0] ** 4 + min(SYMMETRIZE_TILE, n[0] ** 2) ** 2
-        return 8 * (samples + block + 2 * n[0] ** 2 * nq + nq**2)
-
-    def rank_block(self, k: int, la: int, lc: int) -> np.ndarray:
-        """All R^k for electron pairs drawn from (la, lc).
-
-        Returns G with G[a, c, b, d] = R^k( (a,la)(b,la), (c,lc)(d,lc) )
-        where a, b index orbitals of la and c, d orbitals of lc.  By the
-        symmetry of the integrand G[a, c, b, d] == G[b, d, a, c]; the result
-        is symmetrized so this holds exactly.
-        """
-        G = self._block(k, la, lc, la, lc)
-        na, nc = G.shape[:2]
-        M = G.reshape(na * nc, -1)
+        M = U @ W.reshape(na * nc, -1).T
         # in place, one tile pair at a time: no second full-size copy;
         # (a + b) * 0.5 is the same float for both halves
         for i in range(0, len(M), SYMMETRIZE_TILE):
@@ -145,4 +145,4 @@ class SlaterIntegralTable:
                 tile *= 0.5
                 upper[...] = tile
                 lower[...] = tile.T
-        return G
+        return M.reshape(na, nc, na, nc)

@@ -52,12 +52,17 @@ def test_unsupported_symmetry():
 
 
 def test_hamiltonian_vs_determinant_expansion(toy):
-    orbitals, slater = toy
-    for S in (0, 1):
-        configs = build_config_list(1, 3, S)
-        (fast,) = assemble_hamiltonian([configs], orbitals, slater)
-        slow = hamiltonian_msum(configs, orbitals, slater)
-        assert_allclose(fast, slow, atol=1e-12)
+    # the m-summation oracle takes each rank separately; at l_max = 2 the
+    # la = lc = 2 block folds ranks 0, 2 and 4 into one sum
+    basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
+    d_orbitals = build_orbital_set(basis, 2.0, 3, 2)
+    d_toy = (d_orbitals, SlaterIntegralTable(d_orbitals))
+    for (orbitals, slater), l_max, n_max in ((toy, 1, 3), (d_toy, 2, 3)):
+        for S in (0, 1):
+            configs = build_config_list(l_max, n_max, S)
+            (fast,) = assemble_hamiltonian([configs], orbitals, slater)
+            slow = hamiltonian_msum(configs, orbitals, slater)
+            assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_hamiltonian_symmetric_and_variational(toy):
@@ -87,14 +92,17 @@ def test_memory_budget(toy):
         assemble_hamiltonian([configs], orbitals, slater,
                              memory_budget=budget)
     # room for the singlet build alone, but not for singlet plus triplet;
-    # the R^k kernel's working set counts too: orbital samples on the main
-    # and both sub-cell grids, two n_orb^2 x Q pair arrays and the Q x Q K
+    # the R^k working set counts too: orbital samples on the main and both
+    # sub-cell grids, then the larger of two phases, each with n_orb^2 x Q
+    # pair arrays: the rank sum beside one rank's V, its pair product and
+    # the Q x Q K; then the rank sum, U, the block and its tile
     n_cfg = configs.blocks()[0][0].stop
     nq = len(slater.r)
     n_samples = n_orb + orbitals.orbitals(1).n_orbitals
-    kernel = ((1 + 2 * SUBCELL_POINTS) * nq * n_samples
-              + 2 * n_orb**2 * nq + nq**2)
-    alone = 8 * (len(configs) ** 2 + 2 * n_orb**4 + 4 * n_cfg**2 + kernel)
+    pairs = n_orb**2 * nq
+    rk = ((1 + 2 * SUBCELL_POINTS) * nq * n_samples
+          + max(3 * pairs + nq**2, 2 * pairs + 2 * n_orb**4))
+    alone = 8 * (len(configs) ** 2 + rk + 3 * n_cfg**2)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs, triplets], orbitals, slater,
@@ -103,18 +111,21 @@ def test_memory_budget(toy):
 
 
 def test_memory_estimate_covers_traced_peak():
-    # one real assembly: a budget one byte below its traced peak must fail
-    ctx = build_context(RunConfig(z=2.0, l_max=0, n_max=40))
-    configs = build_config_list(0, 40, 0)
-    tracemalloc.start()
-    try:
-        assemble_hamiltonian([configs], ctx.orbitals, ctx.slater)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs], ctx.orbitals, ctx.slater,
-                             memory_budget=peak - 1)
+    # real assemblies: a budget one byte below the traced peak must fail.
+    # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed
+    for l_max, n_max, spins in ((0, 40, (0,)), (2, 25, (0, 1))):
+        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max),
+                            spins)
+        lists = [build_config_list(l_max, n_max, S) for S in spins]
+        tracemalloc.start()
+        try:
+            assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(MemoryError):
+            assemble_hamiltonian(lists, ctx.orbitals, ctx.slater,
+                                 memory_budget=peak - 1)
 
 
 def test_both_spins_in_one_call_match_single_spin(toy):

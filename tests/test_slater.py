@@ -56,7 +56,7 @@ def _rk_key(k, a, b, c, d):
     return k, frozenset((frozenset((a, c)), frozenset((b, d))))
 
 
-# rank_block entries holding a closed form, as (k, la, lc, [a, c, b, d])
+# folded_block entries holding a closed form, as (k, la, lc, [a, c, b, d])
 IN_BLOCK = [(0, 0, 0, (0, 0, 0, 0)), (0, 0, 0, (0, 0, 1, 1)),
             (0, 0, 0, (0, 1, 1, 0)), (0, 0, 0, (1, 1, 1, 1)),
             (1, 0, 1, (0, 0, 0, 0)), (1, 0, 1, (1, 0, 1, 0)),
@@ -78,14 +78,14 @@ def test_hydrogenic_closed_forms():
         for k, la, lc, (a, c, b, d) in IN_BLOCK:
             key = _rk_key(k, (a + la + 1, la), (b + la + 1, la),
                           (c + lc + 1, lc), (d + lc + 1, lc))
-            assert_allclose(t.rank_block(k, la, lc)[a, c, b, d], exact[key],
-                            rtol=1e-12)
+            assert_allclose(t.folded_block([(k, 1.0)], la, lc)[a, c, b, d],
+                            exact[key], rtol=1e-12)
             seen.add(key)
         assert len(seen) == 8
 
 
 def test_block_exchange_symmetry(table):
-    G = table.rank_block(0, 0, 0)
+    G = table.folded_block([(0, 1.0)], 0, 0)
     # G[a, c, b, d] == G[b, d, a, c] exactly after symmetrization
     assert_allclose(G, np.transpose(G, (2, 3, 0, 1)), atol=0.0)
 
@@ -128,7 +128,7 @@ def test_inner_integral_against_compensated_sum():
     r, w, cell = t.r, t.w, t.cell
     X = t.orbitals.values_at(l, r)
     sub = t.orbitals.values_at(l, t.sub_r.ravel()).reshape(len(X), len(r), -1)
-    V = t._inner(k, l, l)
+    V = t.rank_block(k, l, l)
     worst = 0.0
     for q, rq in enumerate(r):
         # main-grid points outside r_q's cell, then its sub-cell nodes
