@@ -264,11 +264,18 @@ NEW_DIRECTION = 1e-8
 
 
 def _fix_signs(eigvec: np.ndarray) -> np.ndarray:
-    """Sign each column so its largest-magnitude component is positive."""
-    for i in range(eigvec.shape[1]):
-        j = int(np.argmax(np.abs(eigvec[:, i])))
-        if eigvec[j, i] < 0:
-            eigvec[:, i] *= -1.0
+    """Sign each column so its largest-magnitude component is positive.
+
+    That component is the column's largest or smallest entry; if both
+    have the largest magnitude, the one that comes first decides.  Column
+    maxima and minima take no temporary the size of eigvec, as |eigvec|
+    and an argmax down eigh's C-ordered columns would.
+    """
+    top, bottom = eigvec.max(axis=0), -eigvec.min(axis=0)
+    flip = bottom > top
+    for i in np.flatnonzero((bottom == top) & (top > 0)):
+        flip[i] = eigvec[np.argmax(np.abs(eigvec[:, i])), i] < 0
+    eigvec *= np.where(flip, -1.0, 1.0)
     return eigvec
 
 

@@ -78,23 +78,32 @@ def coupling_coefficient_msum(l1, l2, l3, l4, L, k, M=0) -> float:
     return acc
 
 
-def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d) -> float:
+def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d,
+                    blocks: dict | None = None) -> float:
     """Scalar R^k(a b, c d) with orbital labels (n, l).
 
     Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
     = R^k(cd,ab) so that all four give the same float.  The two
     quadrature orientations (which electron sits on the outer grid) are
-    averaged, as the symmetrization of folded_block does.
+    averaged, as the symmetrization of folded_block does.  blocks, when
+    given, keeps each rank_block(k, lb, ld) result for later calls.
     """
     key = min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
     (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
         (n - l - 1, l) for n, l in key)
 
+    def inner(lb, ld):
+        if blocks is None:
+            return slater.rank_block(k, lb, ld)
+        if (k, lb, ld) not in blocks:
+            blocks[k, lb, ld] = slater.rank_block(k, lb, ld)
+        return blocks[k, lb, ld]
+
     def oriented(ia, la, ic, lc, ib, lb, id_, ld):
         # pair (a, c) on the outer quadrature, (b, d) in the inner integral
         outer = (slater._samples(la)[0][ia] * slater.w
                  * slater._samples(lc)[0][ic])
-        return outer @ slater.rank_block(k, lb, ld)[ib, id_]
+        return outer @ inner(lb, ld)[ib, id_]
 
     return float(0.5 * (oriented(ia, la, ic, lc, ib, lb, id_, ld)
                         + oriented(ib, lb, id_, ld, ia, la, ic, lc)))
@@ -112,7 +121,7 @@ def _det_product_terms(det):
 
 
 def _product_h_element(bra, ket, orbitals: RadialOrbitalSet,
-                       slater: SlaterIntegralTable) -> float:
+                       slater: SlaterIntegralTable, blocks: dict) -> float:
     """<u_a(1) u_b(2)| H |u_c(1) u_d(2)> for spin-orbital products."""
     (a, b), (c, d) = bra, ket
     val = 0.0
@@ -129,8 +138,8 @@ def _product_h_element(bra, ket, orbitals: RadialOrbitalSet,
                 if ang == 0.0:
                     continue
                 rk = slater_integral(
-                    slater, k, (a[0], la), (b[0], lb), (c[0], lc), (d[0], ld)
-                )
+                    slater, k, (a[0], la), (b[0], lb), (c[0], lc), (d[0], ld),
+                    blocks)
                 val += ang * rk
     return val
 
@@ -151,6 +160,7 @@ def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
 
     Every CSF is expanded over determinants, every determinant over signed
     spin-orbital products, and the operator is contracted term by term.
+    Each rank_block the radial integrals read is computed once per call.
     O(everything); for toy bases only.
     """
     expansions = [
@@ -159,6 +169,7 @@ def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
     ]
     n = len(configs)
     H = np.zeros((n, n))
+    blocks = {}   # (k, lb, ld) -> rank_block(k, lb, ld), for this call
     for i in range(n):
         for j in range(i, n):
             acc = 0.0
@@ -168,7 +179,7 @@ def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
                         for ket_p, ket_q, sk in _det_product_terms(det_j):
                             acc += ci * cj * sb * sk * _product_h_element(
                                 (bra_p, bra_q), (ket_p, ket_q),
-                                orbitals, slater,
+                                orbitals, slater, blocks,
                             )
             H[i, j] = H[j, i] = acc
     return H

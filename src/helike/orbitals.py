@@ -80,11 +80,13 @@ class RadialOrbitalSet:
             raise IndexError(f"orbital n={n}, l={l} not available")
         return float(orb.energies[idx])
 
-    def values_at(self, l: int, points) -> np.ndarray:
-        """All chi_nl for one l sampled at points, shape (n_orb, len(points))."""
-        orb = self.orbitals(l)
+    def values_at(self, points) -> dict[int, np.ndarray]:
+        """{l: chi_nl at points, shape (n_orb, len(points))} for every l.
+
+        The B-spline values do not depend on l, so they are evaluated once.
+        """
         B = self.basis.eval_matrix(points)[:, 1:-1]
-        return orb.coefficients @ B.T
+        return {l: orb.coefficients @ B.T for l, orb in self.per_l.items()}
 
 
 def solve_orbitals(basis: BSplineBasis, Z: float, l: int,

@@ -3,8 +3,9 @@
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
 for one (Z, state).  Every CI solve first computes only the roots its
 target needs and diagonalizes in full only when they cannot prove the pick
-(lowest_state).  Convergence tables reuse one large Hamiltonian and
-solve its principal submatrices.  Z scans walk a charge grid down to the
+(lowest_state).  Convergence tables reuse one large Hamiltonian: one
+gather of its rows per n_max column, and each l_max cell of the column a
+leading view of that gather.  Z scans walk a charge grid down to the
 critical region near Z = 1, enlarging the radial box as the outer
 electron delocalizes, solve all states of one charge in one context
 (whose single assembly computes each R^k block once for both spins), and
@@ -325,13 +326,17 @@ class ConvergenceResult:
 def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     """Entropy/energy table over (l_max, n_max) truncations.
 
-    One basis and one Hamiltonian are built at the largest truncation; each
-    smaller cell solves the principal submatrix of rows whose
-    configurations fit inside it, so all cells share identical orbitals and
-    radial integrals and differ only in the CI cut-off.  Each cell goes
-    through lowest_state: roots 0..n2 - S, and the full eigh only when
-    they cannot prove the pick.  Cells with n_max <= l_max or n_max below
-    the target's n2 are skipped.
+    One basis and one Hamiltonian are built at the largest truncation, so
+    all cells share identical orbitals and radial integrals and differ only
+    in the CI cut-off.  Configurations are ordered by l, then n1, then n2,
+    so among the rows with n2 <= n_cut those with l <= l_cut come first.
+    Each n_cut column therefore gathers its rows of H once (H itself at
+    the largest n_cut), and each of its cells solves a leading view of
+    that gather; the gather is freed before the next column's.  Each cell
+    goes through lowest_state: roots 0..n2 - S, and the full eigh only
+    when they cannot prove the pick.  Cells with n_max <= l_max or n_max
+    below the target's n2 are skipped.  Rows come back ordered by l_max,
+    then n_max.
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
@@ -343,24 +348,28 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     ctx = build_context(big, (spin,))
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
+    ls = np.array([c.l for c in cfgs])
+    n2s = np.array([c.n2 for c in cfgs])
     rows = []
-    for l_cut in l_values:
-        for n_cut in n_values:
-            if n_cut <= l_cut or n_cut < pair[1]:
-                continue
-            keep = np.array([
-                i for i, c in enumerate(cfgs)
-                if c.l <= l_cut and c.n2 <= n_cut
-            ])
+    for n_cut in n_values:
+        l_cuts = [l for l in l_values if l < n_cut]
+        if n_cut < pair[1] or not l_cuts:
+            continue
+        keep = np.flatnonzero(n2s <= n_cut)
+        Hn = H if len(keep) == len(H) else H[np.ix_(keep, keep)]
+        leads = np.searchsorted(ls[keep], l_cuts, side="right")
+        for l_cut, lead in zip(l_cuts, leads):
             sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
-                             configs=[cfgs[i] for i in keep])
-            state, _ = lowest_state(H[np.ix_(keep, keep)], sub, pair)
+                             configs=[cfgs[i] for i in keep[:lead]])
+            state = lowest_state(Hn[:lead, :lead], sub, pair)[0]
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
                 l_max=l_cut, n_max=n_cut, energy=state.energy,
                 s_linear=linear_entropy(rdm),
                 s_von_neumann=von_neumann_entropy(rdm),
             ))
+        del Hn  # free this column's gather before the next one
+    rows.sort(key=lambda r: (r.l_max, r.n_max))
     return ConvergenceResult(config=big.resolve(), rows=rows)
 
 

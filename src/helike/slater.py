@@ -31,7 +31,7 @@ SYMMETRIZE_TILE = 256
 
 
 class SlaterIntegralTable:
-    """Slater integrals for one orbital set; caches orbital samples per l."""
+    """Slater integrals for one orbital set; caches its orbital samples."""
 
     def __init__(self, orbital_set: RadialOrbitalSet):
         self.orbitals = orbital_set
@@ -50,18 +50,20 @@ class SlaterIntegralTable:
         nodes = edges[:, :2, None] + half * (x + 1.0)
         self.sub_r = nodes.reshape(len(r), -1)
         self.sub_w = (half * gw).reshape(len(r), -1)
-        # orbital values on the main grid and the sub-cell nodes, lazily per l
+        # orbital values on the main grid and the sub-cell nodes, every l
+        # at the first use
         self._vals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _samples(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """chi_nl for one l on the main grid, shape (n_orb, n_points), and
-        on the sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS), from
-        one values_at call."""
-        if l not in self._vals:
+        on the sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS); the
+        first call samples every l in one values_at call."""
+        if not self._vals:
             nq = len(self.r)
-            v = self.orbitals.values_at(
-                l, np.concatenate((self.r, self.sub_r.ravel())))
-            self._vals[l] = (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
+            points = np.concatenate((self.r, self.sub_r.ravel()))
+            self._vals = {
+                lv: (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
+                for lv, v in self.orbitals.values_at(points).items()}
         return self._vals[l]
 
     def _kernel(self, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -53,11 +53,15 @@ def test_unsupported_symmetry():
 
 def test_hamiltonian_vs_determinant_expansion(toy):
     # the m-summation oracle takes each rank separately; at l_max = 2 the
-    # la = lc = 2 block folds ranks 0, 2 and 4 into one sum
+    # la = lc = 2 block folds ranks 0, 2 and 4 into one sum, and n_max = 4
+    # adds the 3d4d triplet, whose exchange term enters with the minus sign
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
     d_orbitals = build_orbital_set(basis, 2.0, 3, 2)
     d_toy = (d_orbitals, SlaterIntegralTable(d_orbitals))
-    for (orbitals, slater), l_max, n_max in ((toy, 1, 3), (d_toy, 2, 3)):
+    d4_orbitals = build_orbital_set(basis, 2.0, 4, 2)
+    d4_toy = (d4_orbitals, SlaterIntegralTable(d4_orbitals))
+    for (orbitals, slater), l_max, n_max in ((toy, 1, 3), (d_toy, 2, 3),
+                                             (d4_toy, 2, 4)):
         for S in (0, 1):
             configs = build_config_list(l_max, n_max, S)
             (fast,) = assemble_hamiltonian([configs], orbitals, slater)
@@ -279,6 +283,27 @@ def test_iterative_spectrum_defers_what_it_cannot_prove():
     vecs[configs.index(2, 3, 0)] = np.sqrt([0.45, 0.45 - 1e-9, 0.1])
     assert select_state(Spectrum(np.arange(3.0), vecs), configs,
                         (2, 3)) is None
+
+
+def test_sign_fix_matches_column_loop():
+    def column_loop(vecs):
+        for i in range(vecs.shape[1]):
+            j = int(np.argmax(np.abs(vecs[:, i])))
+            if vecs[j, i] < 0:
+                vecs[:, i] *= -1.0
+        return vecs
+
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((60, 60))
+    # small integers tie +m with -m in either order; zero and -0.0 columns
+    ties = rng.integers(-2, 3, size=(6, 200)).astype(float)
+    ties[:, :4] = 0.0
+    ties[1, 2:4] = -0.0
+    for vecs in (np.linalg.eigh(A + A.T)[1], ties, np.asfortranarray(ties)):
+        want = column_loop(vecs.copy())
+        got = ci._fix_signs(vecs.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_davidson_matches_eigh(toy):

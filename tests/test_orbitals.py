@@ -60,7 +60,7 @@ def test_1s_matches_analytic(orbital_set):
     Z = 2.0
     r = np.linspace(0.1, 5.0, 40)
     exact = 2.0 * Z**1.5 * r * np.exp(-Z * r)
-    vals = orbital_set.values_at(0, r)[0]
+    vals = orbital_set.values_at(r)[0][0]
     assert_allclose(vals, exact, atol=5e-7)
 
 
@@ -68,14 +68,14 @@ def test_sign_convention(orbital_set):
     # every orbital rises from zero with positive slope at the origin
     r = np.array([1e-3])
     for l in range(3):
-        vals = orbital_set.values_at(l, r)
+        vals = orbital_set.values_at(r)[l]
         assert np.all(vals >= 0.0)
 
 
 def test_node_counts(orbital_set):
     r = np.linspace(1e-4, 30.0, 4000)
     for l in range(2):
-        vals = orbital_set.values_at(l, r)
+        vals = orbital_set.values_at(r)[l]
         for idx, n in enumerate(principal_numbers(orbital_set.orbitals(l))):
             if n > 4:
                 continue

@@ -124,6 +124,60 @@ def test_run_convergence_triplet_bound():
     assert cells[0] == cells[1] == [(0, 8), (1, 8)]
 
 
+def test_convergence_cells_match_submatrix_solves(monkeypatch):
+    """Each cell equals a solve of its own copied submatrix of H.
+
+    The axes come unsorted and with a repeat, and the table skips the
+    cells with n_max <= l_max.  The matrices handed to lowest_state are
+    recorded: one n_max column's cells all read one gather, and the
+    largest column reads the assembled H itself.
+    """
+    assembled, solved = [], []
+    assemble = pipeline.assemble_hamiltonian
+    lowest = pipeline.lowest_state
+
+    def recording_assemble(*args):
+        Hs = assemble(*args)
+        assembled.extend(Hs)
+        return Hs
+
+    def recording_lowest(H, configs, pair, spectrum=None):
+        solved.append((configs.l_max, configs.n_max, H))
+        return lowest(H, configs, pair, spectrum)
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
+    monkeypatch.setattr(pipeline, "lowest_state", recording_lowest)
+    config = RunConfig(z=2.0, state="1s2s-3S")
+    table = run_convergence(config, [2, 0, 1, 1], [8, 2, 5])
+    got = [(r.l_max, r.n_max, r.energy, r.s_linear, r.s_von_neumann)
+           for r in table.rows]
+
+    (H,) = assembled
+    pair, spin = parse_state(config.state)
+    cfgs = ci.build_config_list(2, 8, spin)
+    want = []
+    for l_cut in (0, 1, 2):
+        for n_cut in (2, 5, 8):
+            if n_cut <= l_cut:
+                continue
+            keep = np.array([i for i, c in enumerate(cfgs)
+                             if c.l <= l_cut and c.n2 <= n_cut])
+            sub = ci.ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
+                                configs=[cfgs[i] for i in keep])
+            state, _ = lowest(H[np.ix_(keep, keep)], sub, pair)
+            rdm = pipeline.state_spectrum(state, sub)
+            want.append((l_cut, n_cut, state.energy,
+                         pipeline.linear_entropy(rdm),
+                         pipeline.von_neumann_entropy(rdm)))
+    assert [(l, n) for l, n, *_ in got] == [
+        (0, 2), (0, 5), (0, 8), (1, 2), (1, 5), (1, 8), (2, 5), (2, 8)]
+    assert got == want
+    for l_cut, n_cut, M in solved:
+        assert np.shares_memory(M, H) == (n_cut == 8), (l_cut, n_cut)
+        for l_other, n_other, other in solved:
+            assert np.shares_memory(M, other) == (n_cut == n_other)
+
+
 def test_lowest_root_solves_match_full_eigh(monkeypatch):
     """solve_in_context and run_convergence agree with full-eigh solves.
 

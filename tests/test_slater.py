@@ -126,8 +126,8 @@ def test_inner_integral_against_compensated_sum():
     t = SlaterIntegralTable(build_orbital_set(basis, 2.0, 8, 4))
     k, l = 8, 4
     r, w, cell = t.r, t.w, t.cell
-    X = t.orbitals.values_at(l, r)
-    sub = t.orbitals.values_at(l, t.sub_r.ravel()).reshape(len(X), len(r), -1)
+    X = t.orbitals.values_at(r)[l]
+    sub = t.orbitals.values_at(t.sub_r.ravel())[l].reshape(len(X), len(r), -1)
     V = t.rank_block(k, l, l)
     worst = 0.0
     for q, rq in enumerate(r):
