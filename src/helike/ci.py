@@ -293,30 +293,27 @@ def _is_symmetric(H: np.ndarray) -> bool:
         for i in range(0, len(H), t) for j in range(i, len(H), t))
 
 
-def diagonalize(H: np.ndarray, top: int | None = None,
-                guess: np.ndarray | None = None) -> Spectrum:
+def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
     """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
 
     When top leaves roots out and H has at least DAVIDSON_MIN_DIM rows, the
-    roots 0..top come from davidson(H, top, guess).  Otherwise the result is
-    the complete numpy.linalg.eigh decomposition, whatever top asks for.
-    Each column is signed so its largest-magnitude component is positive.
+    roots 0..top come from davidson(H, top).  Otherwise the result is the
+    complete numpy.linalg.eigh decomposition, whatever top asks for.  Each
+    column is signed so its largest-magnitude component is positive.
     """
     if not _is_symmetric(H):
         raise InconsistentInputError("Hamiltonian must be exactly symmetric")
     if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
-        return davidson(H, top, guess)
+        return davidson(H, top)
     return _eigh(H)
 
 
-def davidson(H: np.ndarray, top: int,
-             guess: np.ndarray | None = None) -> Spectrum:
+def davidson(H: np.ndarray, top: int) -> Spectrum:
     """Roots 0..top of symmetric H by block Davidson, with numpy alone.
 
     E. R. Davidson, J. Comput. Phys. 17, 87 (1975).  The subspace starts on
     the unit vectors of the b = max(top + 5, START_BLOCK) smallest diagonal
-    entries, the first ones replaced by up to top + 1 columns of guess (an
-    earlier solve's vectors) and orthonormalized by QR; only roots 0..top
+    entries, so its first step needs no product with H; only roots 0..top
     must converge.  Each step adds, per unconverged root, the correction
     (theta - diag H)^-1 r, orthonormalized twice against the subspace;
     past 4 b columns the subspace restarts on the b lowest Ritz vectors.
@@ -341,12 +338,7 @@ def davidson(H: np.ndarray, top: int,
     V = np.zeros((n, width), order="F")
     V[start, np.arange(block)] = 1.0
     HV = np.empty((n, width), order="F")
-    if guess is None:
-        HV[:, :block] = H[:, start]
-    else:
-        k = min(guess.shape[1], roots)
-        V[:, :block] = np.linalg.qr(np.c_[guess[:, :k], V[:, :block - k]])[0]
-        HV[:, :block] = H @ V[:, :block]
+    HV[:, :block] = H[:, start]
     m = block
     for _ in range(DAVIDSON_MAX_ITER):
         theta, s = np.linalg.eigh(V[:, :m].T @ HV[:, :m])

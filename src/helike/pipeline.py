@@ -1,15 +1,16 @@
 """High-level pipelines: single-state solves, convergence tables, Z scans.
 
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
-for one (Z, state).  Every CI solve first computes only the roots its
-target needs and diagonalizes in full only when they cannot prove the pick
-(lowest_state).  Convergence tables reuse one large Hamiltonian: one
-gather of its rows per n_max column, and each l_max cell of the column a
-leading view of that gather.  Z scans walk a charge grid down to the
-critical region near Z = 1, enlarging the radial box as the outer
-electron delocalizes, solve all states of one charge in one context
-(whose single assembly computes each R^k block once for both spins), and
-never let one failed row abort the rest.
+for one (Z, state).  A context at one charge serves a fixed set of states:
+one assembly computes each R^k block once for every spin they need, and
+one lowest_states call per spin picks all of that spin's states from the
+roots they need, diagonalizing in full only when those cannot prove a
+pick.  Convergence tables reuse one large Hamiltonian: one gather of its
+rows per n_max column, and each l_max cell of the column a leading view
+of that gather.  Z scans walk a charge grid down to the critical region
+near Z = 1, enlarging the radial box as the outer electron delocalizes,
+solve all states of one charge in one context, and never let one failed
+row abort the rest.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .bspline import BSplineBasis, make_knots
 from .ci import (
     CIState,
     ConfigList,
-    Spectrum,
     build_config_list,
     assemble_hamiltonian,
     diagonalize,
@@ -91,7 +91,7 @@ def parse_state(text: str) -> tuple[tuple[int, int], int]:
     else:
         label = text
     label = label.strip().lower()
-    m = re.fullmatch(r"(\d+)s(\d+)s", label)
+    m = re.fullmatch(r"([1-9]\d*)s([1-9]\d*)s", label)
     if label in ("ground", "1s2"):
         pair = (1, 1)
     elif m:
@@ -162,84 +162,86 @@ class RunConfig:
         parse_state(res.state)
 
 
-def lowest_state(H: np.ndarray | None, configs: ConfigList,
-                 pair: tuple[int, int], spectrum: Spectrum | None = None
-                 ) -> tuple[CIState, Spectrum]:
-    """select_state's full-spectrum pick on pair, from the lowest roots of H.
+def lowest_states(H: np.ndarray, configs: ConfigList,
+                  pairs: list[tuple[int, int]]) -> list[CIState]:
+    """select_state's full-spectrum picks on pairs, from the lowest roots of H.
 
-    The first rung solves roots 0..n2 - S through diagonalize (Davidson
-    from DAVIDSON_MIN_DIM rows on, the complete eigh below): the target's
-    Hylleraas-Undheim-MacDonald rank n2 - 1 - S and one root above it,
-    which sets davidson's Ritz gap.  It reuses spectrum, an earlier solve
-    of H, when that holds them, else starts Davidson from its columns.
-    When select_state cannot prove the pick from a partial spectrum, the
-    second rung diagonalizes H in full.  Returns the state and the widest
-    spectrum solved.  H may be None only when spectrum is complete.
+    The first rung solves roots 0..max(n2) - S through diagonalize
+    (Davidson from DAVIDSON_MIN_DIM rows on, the complete eigh below): by
+    the Hylleraas-Undheim-MacDonald bound a target's rank is n2 - 1 - S,
+    so these hold every target's rank and one root above the highest,
+    which sets davidson's Ritz gap.  When select_state cannot prove some
+    pick from them, the second rung diagonalizes H in full and picks every
+    pair again from it.  Every pair must lie inside configs.
     """
-    top = pair[1] - configs.S
-    if spectrum is None or not (spectrum.complete
-                                or len(spectrum.eigenvalues) > top):
-        guess = None if spectrum is None else spectrum.eigenvectors
-        spectrum = diagonalize(H, top, guess)
-    state = select_state(spectrum, configs, pair)
-    if state is None:
+    spectrum = diagonalize(H, max(n2 for _, n2 in pairs) - configs.S)
+    states = [select_state(spectrum, configs, pair) for pair in pairs]
+    if None in states:
         spectrum = diagonalize(H)
-        state = select_state(spectrum, configs, pair)
-    return state, spectrum
+        states = [select_state(spectrum, configs, pair) for pair in pairs]
+    return states
 
 
 @dataclass
 class PipelineContext:
-    """One basis at one charge: orbitals, R^k table and per-spin CI solves.
+    """One basis at one charge: orbitals, R^k table and the states it serves.
 
     Every state solved at this charge shares it, so a Z-scan solves its
-    1s2s 1S and 3S terms in one basis.  serves names the spins the context
-    will solve; the first state request assembles all of them in one
-    assemble_hamiltonian call, so each R^k block is computed once per
-    charge and feeds every spin, and a spin outside serves is never
-    assembled.  .spins keeps, per spin, the configurations, H and the
-    widest spectrum lowest_state has solved: H is diagonalized again only
-    when a state needs roots the spectrum lacks, and is dropped once the
-    spectrum is complete.  config.state is only the state the context was
-    configured with.
+    1s2s 1S and 3S terms in one basis.  targets maps each spin to the
+    s-pairs of its served states inside the basis.  The first request
+    assembles every spin of targets in one assemble_hamiltonian call, so
+    each R^k block is computed once per charge.  The first request of a
+    spin solves all its pairs in one lowest_states call; unsolved then
+    drops that spin's (configurations, H), or keeps them when the solve
+    raises, so the next request retries.  Later requests look their state
+    up.  config.state is only the state the context was configured with.
     """
 
     config: RunConfig
     basis: BSplineBasis
     orbitals: RadialOrbitalSet
     slater: SlaterIntegralTable
-    serves: tuple[int, ...] = (0, 1)
-    spins: dict[int, tuple[ConfigList, np.ndarray | None, Spectrum | None]] = \
+    targets: dict[int, list[tuple[int, int]]]
+    unsolved: dict[int, tuple[ConfigList, np.ndarray]] | None = None
+    solved: dict[tuple[tuple[int, int], int], tuple[ConfigList, CIState]] = \
         field(default_factory=dict)
 
     def state(self, pair: tuple[int, int], spin: int
               ) -> tuple[ConfigList, CIState]:
-        if spin not in self.serves:
+        if pair not in self.targets.get(spin, ()):
             raise InvalidParameterError(
-                f"this context serves spins {self.serves}, not S = {spin}"
-            )
-        if not self.spins:
+                f"this context serves no {pair[0]}s{pair[1]}s S = {spin} "
+                f"state inside its n_max = {self.config.n_max} basis")
+        if self.unsolved is None:
             lists = [build_config_list(self.config.l_max, self.config.n_max,
-                                       s) for s in self.serves]
+                                       s) for s in sorted(self.targets)]
             Hs = assemble_hamiltonian(lists, self.orbitals, self.slater)
-            self.spins = {c.S: (c, H, None) for c, H in zip(lists, Hs)}
-        cfgs, H, spectrum = self.spins[spin]
-        state, spectrum = lowest_state(H, cfgs, pair, spectrum)
-        self.spins[spin] = (cfgs, None if spectrum.complete else H, spectrum)
-        return cfgs, state
+            self.unsolved = {c.S: (c, H) for c, H in zip(lists, Hs)}
+        if spin in self.unsolved:
+            cfgs, H = self.unsolved[spin]
+            pairs = self.targets[spin]
+            states = lowest_states(H, cfgs, pairs)
+            del self.unsolved[spin]
+            self.solved.update(((p, spin), (cfgs, st))
+                               for p, st in zip(pairs, states))
+        return self.solved[pair, spin]
 
 
-def build_context(config: RunConfig, spins=(0, 1)) -> PipelineContext:
-    """Basis, orbitals and R^k table for config, to serve the given spins.
+def build_context(config: RunConfig,
+                  states=("ground", "1s2s-1S", "1s2s-3S")) -> PipelineContext:
+    """Basis, orbitals and R^k table for config, to serve the given states.
 
-    Callers pass the spins of the states they will solve; the default
-    serves both.
+    The states are parsed before any orbital solve, so a malformed one is
+    an InvalidParameterError here.  A state outside the n_max basis is
+    left out of targets, so it costs no assembly or root, and raises at
+    its own request.
     """
     config.validate()
-    serves = tuple(sorted(set(spins)))
-    if not serves or not set(serves) <= {0, 1}:
-        raise InvalidParameterError(f"spins must be 0 and/or 1, got {spins}")
     res = config.resolve()
+    targets: dict[int, list[tuple[int, int]]] = {}
+    for pair, spin in map(parse_state, states):
+        if pair[1] <= res.n_max and pair not in targets.get(spin, []):
+            targets.setdefault(spin, []).append(pair)
     knots = make_knots(res.r_max, res.n_splines, res.order,
                        grid=res.grid, gamma=res.gamma)
     basis = BSplineBasis(knots, quad_order=res.quad_points)
@@ -249,7 +251,7 @@ def build_context(config: RunConfig, spins=(0, 1)) -> PipelineContext:
         basis=basis,
         orbitals=orbitals,
         slater=SlaterIntegralTable(orbitals),
-        serves=serves,
+        targets=targets,
     )
 
 
@@ -303,9 +305,9 @@ def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
 
 
 def run_solve(config: RunConfig) -> StateReport:
-    """Full pipeline for config.state, in a context serving only its spin."""
-    spin = parse_state(config.state)[1]
-    return solve_in_context(build_context(config, (spin,)), config.state)
+    """Full pipeline for config.state, in a context serving only it."""
+    return solve_in_context(build_context(config, (config.state,)),
+                            config.state)
 
 
 @dataclass
@@ -333,7 +335,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     Each n_cut column therefore gathers its rows of H once (H itself at
     the largest n_cut), and each of its cells solves a leading view of
     that gather; the gather is freed before the next column's.  Each cell
-    goes through lowest_state: roots 0..n2 - S, and the full eigh only
+    goes through lowest_states: roots 0..n2 - S, and the full eigh only
     when they cannot prove the pick.  Cells with n_max <= l_max or n_max
     below the target's n2 are skipped.  Rows come back ordered by l_max,
     then n_max.
@@ -345,7 +347,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
             f"need nonempty convergence axes and l >= 0, got {l_values}")
     big = replace(config, l_max=l_values[-1], n_max=n_values[-1])
     pair, spin = parse_state(config.state)
-    ctx = build_context(big, (spin,))
+    ctx = build_context(big, (config.state,))
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
     ls = np.array([c.l for c in cfgs])
@@ -361,7 +363,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
         for l_cut, lead in zip(l_cuts, leads):
             sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
                              configs=[cfgs[i] for i in keep[:lead]])
-            state = lowest_state(Hn[:lead, :lead], sub, pair)[0]
+            state = lowest_states(Hn[:lead, :lead], sub, [pair])[0]
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
                 l_max=l_cut, n_max=n_cut, energy=state.energy,
@@ -439,13 +441,14 @@ def run_zscan(config: RunConfig | None = None, charges=None,
     if not charges or not states:
         raise InvalidParameterError("a scan needs at least one charge and "
                                     "one state")
-    spins = {parse_state(s)[1] for s in states}
+    for s in states:   # a malformed state fails the scan, not each charge
+        parse_state(s)
 
     rows: list[ZScanRow] = []
     failures: list[tuple[float, str, str]] = []
     for z in charges:
         try:
-            ctx = build_context(replace(base, z=z), spins)
+            ctx = build_context(replace(base, z=z), states)
         except SCAN_ERRORS as exc:
             message = f"{type(exc).__name__}: {exc}"
             failures += [(z, s, message) for s in states]

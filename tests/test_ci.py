@@ -118,8 +118,7 @@ def test_memory_estimate_covers_traced_peak():
     # real assemblies: a budget one byte below the traced peak must fail.
     # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed
     for l_max, n_max, spins in ((0, 40, (0,)), (2, 25, (0, 1))):
-        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max),
-                            spins)
+        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max))
         lists = [build_config_list(l_max, n_max, S) for S in spins]
         tracemalloc.start()
         try:
@@ -310,21 +309,18 @@ def test_davidson_matches_eigh(toy):
     """davidson, called below and above the cut, vs scipy.linalg.eigh."""
     orbitals, slater = toy
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
-    cases = [(H, 2, None)
-             for H in assemble_hamiltonian(lists, orbitals, slater)]
+    cases = [(H, 2) for H in assemble_hamiltonian(lists, orbitals, slater)]
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, l_max=3, n_max=25))
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
         Hs = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
-        # lowest_state's first rungs, roots 0..n2 - S for the ground and
+        # lowest_states' first rungs, roots 0..n2 - S for the ground and
         # 1s2s targets (the Z = 1 ground rung converges only from the wide
         # start subspace), and 12 roots
-        cases += [(H, top, None) for H, tops in zip(Hs, ((1, 2, 11), (1, 11)))
+        cases += [(H, top) for H, tops in zip(Hs, ((1, 2, 11), (1, 11)))
                   for top in tops]
-        # the 1s2s 1S rung started from the ground rung, as in a context
-        cases.append((Hs[0], 2, davidson(Hs[0], 1).eigenvectors))
-    for H, top, guess in cases:
-        spec = davidson(H, top, guess)
+    for H, top in cases:
+        spec = davidson(H, top)
         assert spec.ritz_error is not None   # converged, no fallback
         eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=(0, top))
         cols = np.arange(top + 1)
@@ -339,7 +335,7 @@ def test_davidson_matches_eigh(toy):
 def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
     # a matrix wider than davidson's start subspace, which would otherwise
     # hold every root exactly after one Rayleigh-Ritz step
-    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), (1,))
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
     (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
                                 ctx.slater)
     assert len(H) > ci.START_BLOCK

@@ -1,5 +1,6 @@
 """Pipeline orchestration: configs, solves, convergence grids, scans."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ def test_parse_state():
         parse_state("1s2s-5S")
     with pytest.raises(InvalidParameterError):
         parse_state("1s2p")
+    with pytest.raises(InvalidParameterError):
+        parse_state("0s1s")
 
 
 def test_box_radius_policy():
@@ -128,25 +131,25 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
     """Each cell equals a solve of its own copied submatrix of H.
 
     The axes come unsorted and with a repeat, and the table skips the
-    cells with n_max <= l_max.  The matrices handed to lowest_state are
+    cells with n_max <= l_max.  The matrices handed to lowest_states are
     recorded: one n_max column's cells all read one gather, and the
     largest column reads the assembled H itself.
     """
     assembled, solved = [], []
     assemble = pipeline.assemble_hamiltonian
-    lowest = pipeline.lowest_state
+    lowest = pipeline.lowest_states
 
     def recording_assemble(*args):
         Hs = assemble(*args)
         assembled.extend(Hs)
         return Hs
 
-    def recording_lowest(H, configs, pair, spectrum=None):
+    def recording_lowest(H, configs, pairs):
         solved.append((configs.l_max, configs.n_max, H))
-        return lowest(H, configs, pair, spectrum)
+        return lowest(H, configs, pairs)
 
     monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
-    monkeypatch.setattr(pipeline, "lowest_state", recording_lowest)
+    monkeypatch.setattr(pipeline, "lowest_states", recording_lowest)
     config = RunConfig(z=2.0, state="1s2s-3S")
     table = run_convergence(config, [2, 0, 1, 1], [8, 2, 5])
     got = [(r.l_max, r.n_max, r.energy, r.s_linear, r.s_von_neumann)
@@ -164,7 +167,7 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
                              if c.l <= l_cut and c.n2 <= n_cut])
             sub = ci.ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
                                 configs=[cfgs[i] for i in keep])
-            state, _ = lowest(H[np.ix_(keep, keep)], sub, pair)
+            (state,) = lowest(H[np.ix_(keep, keep)], sub, [pair])
             rdm = pipeline.state_spectrum(state, sub)
             want.append((l_cut, n_cut, state.energy,
                          pipeline.linear_entropy(rdm),
@@ -182,13 +185,15 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
     """solve_in_context and run_convergence agree with full-eigh solves.
 
     With DAVIDSON_MIN_DIM past every dimension each solve is the full eigh.
+    A context diagonalizes each spin at that spin's first request: the
+    singlet at ground, the triplet at 1s2s-3S.
     """
     calls = []
     diagonalize = pipeline.diagonalize
 
-    def recording(H, top=None, guess=None):
-        spectrum = diagonalize(H, top, guess)
-        calls.append((top, spectrum, guess))
+    def recording(H, top=None):
+        spectrum = diagonalize(H, top)
+        calls.append((top, spectrum))
         return spectrum
 
     monkeypatch.setattr(pipeline, "diagonalize", recording)
@@ -213,8 +218,6 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
         return out, solves
 
     lowest, solves = outcomes()
-    fallbacks = {key for key, made in solves.items()
-                 if None in [top for top, _, _ in made]}
     monkeypatch.setattr(ci, "DAVIDSON_MIN_DIM", 10**6)
     full, _ = outcomes()
     assert lowest.keys() == full.keys()
@@ -227,21 +230,18 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
         else:
             assert got[3:] == want[3:], key
             assert_allclose(got[:3], want[:3], rtol=1e-10, atol=1e-10)
-    # at Z = 1, l3,n25 the first rung cannot prove the 1s2s picks
-    assert (1.0, 25, "1s2s-1S") in fallbacks
-    assert (1.0, 25, "1s2s-3S") in fallbacks
-    assert (2.0, 25, "ground") not in fallbacks
-    # at Z = 2, l3,n25 one converged Davidson solve of roots 0..n2 - S
-    # proves each pick; davidson's own eigh fallback would leave
-    # ritz_error None
-    # the 1s2s 1S rung starts from the ground rung's two roots, and the
-    # first solve of each spin from unit vectors alone
-    for state, start in (("ground", None), ("1s2s-1S", 2), ("1s2s-3S", None)):
-        pair, spin = parse_state(state)
-        (top, spectrum, guess), = solves[2.0, 25, state]
-        assert top == pair[1] - spin
-        assert spectrum.ritz_error is not None
-        assert (None if guess is None else guess.shape[1]) == start
+    # at l3,n25 each spin's first rung solves roots 0..max(n2) - S: 0..2
+    # for the singlet's ground and 1s2s 1S, 0..1 for the triplet.  At
+    # Z = 1 it cannot prove the 1s2s picks, and each spin adds one
+    # complete eigh
+    states = ("ground", "1s2s-1S", "1s2s-3S")
+    for z, eigh in ((2.0, []), (1.0, [None])):
+        assert [[top for top, _ in solves[z, 25, s]] for s in states] == \
+            [[2] + eigh, [], [1] + eigh]
+    # at Z = 2 one converged Davidson solve per spin proves every pick;
+    # davidson's own eigh fallback would leave ritz_error None
+    assert all(spectrum.ritz_error is not None
+               for s in states for _, spectrum in solves[2.0, 25, s])
 
 
 def test_run_zscan_rows_and_failures(monkeypatch):
@@ -264,9 +264,9 @@ def test_run_zscan_rows_and_failures(monkeypatch):
     # context and solves every state in it
     built = []
 
-    def counting_build(config, spins=(0, 1)):
+    def counting_build(config, states=("ground", "1s2s-1S", "1s2s-3S")):
         built.append(config.z)
-        return build_context(config, spins)
+        return build_context(config, states)
 
     monkeypatch.setattr(pipeline, "build_context", counting_build)
     states = ["1s2s-1S", "1s2s-3S"]
@@ -285,34 +285,97 @@ def test_run_zscan_rows_and_failures(monkeypatch):
              report.dominant_weight, report.config.r_max, report.selection)
 
 
+def test_zscan_out_of_basis_state_fails_alone():
+    # 1s9s lies outside n_max = 5: it costs the 1s2s 1S row no root
+    config = RunConfig(l_max=1, n_max=5)
+    both = run_zscan(config, charges=[1.0, 2.0],
+                     states=["1s2s-1S", "1s9s-1S"])
+    alone = run_zscan(config, charges=[1.0, 2.0], states=["1s2s-1S"])
+    assert both.rows == alone.rows and len(both.rows) == 2
+    assert [(z, s) for z, s, _ in both.failures] == \
+        [(1.0, "1s9s-1S"), (2.0, "1s9s-1S")]
+
+
 def test_context_computes_each_rank_block_once(monkeypatch):
-    calls = []
+    calls, assembled = [], []
     rank_block = SlaterIntegralTable.rank_block
+    assemble = pipeline.assemble_hamiltonian
 
     def counting(self, k, la, lc):
         calls.append((k, la, lc))
         return rank_block(self, k, la, lc)
 
+    def recording_assemble(lists, *args):
+        assembled.append([c.S for c in lists])
+        return assemble(lists, *args)
+
     monkeypatch.setattr(SlaterIntegralTable, "rank_block", counting)
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
     ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
     for s in ("1s2s-1S", "1s2s-3S"):
         solve_in_context(ctx, s)
     # one call per distinct (k, la, lc) for l_max = 2, shared by both spins
     assert len(calls) == len(set(calls)) == 10
-    assert set(ctx.spins) == {0, 1}
+    assert assembled == [[0, 1]]
     # a single-state solve or scan never assembles the other spin
-    built = []
-
-    def recording_build(config, spins=(0, 1)):
-        built.append(build_context(config, spins))
-        return built[-1]
-
-    monkeypatch.setattr(pipeline, "build_context", recording_build)
     run_solve(RunConfig(z=2.0, state="1s2s-1S", **SCAN_DEFAULTS))
     run_zscan(charges=[2.0], states=["1s2s-3S"])
-    assert [set(c.spins) for c in built] == [{0}, {1}]
+    assert assembled == [[0, 1], [0], [1]]
+
+
+def test_context_serves_its_states(monkeypatch):
+    """One lowest_states call per spin, no H kept, only the given states.
+
+    Equal states share the solve, a state the context does not serve
+    raises at its own request, a failed solve keeps H for the next
+    request, and a malformed state fails before any orbital solve.
+    """
+    Hs, solves = [], []
+    assemble, lowest = pipeline.assemble_hamiltonian, pipeline.lowest_states
+
+    def recording_assemble(lists, *args):
+        out = assemble(lists, *args)
+        Hs.extend(weakref.ref(H) for H in out)
+        return out
+
+    def recording_lowest(H, configs, pairs):
+        solves.append((configs.S, list(pairs)))
+        return lowest(H, configs, pairs)
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
+    monkeypatch.setattr(pipeline, "lowest_states", recording_lowest)
+    config = RunConfig(z=2.0, l_max=1, n_max=8)
+    # 1s9s lies outside n_max = 8, so the triplet is never assembled
+    ctx = build_context(config, ["1s2s-1S", "2s1s-singlet", "ground",
+                                 "1s9s-3S"])
+    a, b, ground = (solve_in_context(ctx, s)
+                    for s in ("1s2s-1S", "2s1s-singlet", "ground"))
+    assert solves == [(0, [(1, 2), (1, 1)])]
+    assert (a.energy, a.s_von_neumann) == (b.energy, b.s_von_neumann)
+    assert ground.energy < a.energy
+    assert len(Hs) == 1 and Hs[0]() is None
+    for other in ("1s9s-3S", "1s2s-3S", "1s3s-1S"):
+        with pytest.raises(InvalidParameterError):
+            solve_in_context(ctx, other)
+
+    def failing(H, configs, pairs):
+        raise MemoryError("no room for the eigenvectors")
+
+    monkeypatch.setattr(pipeline, "lowest_states", failing)
+    ctx = build_context(config, ["1s2s-3S"])
+    with pytest.raises(MemoryError):
+        solve_in_context(ctx, "1s2s-3S")
+    assert len(Hs) == 2 and Hs[1]() is not None
+    monkeypatch.setattr(pipeline, "lowest_states", recording_lowest)
+    solve_in_context(ctx, "1s2s-3S")
+    assert solves[-1] == (1, [(1, 2)]) and Hs[1]() is None
+
+    def no_orbitals(*args):
+        raise AssertionError("orbitals solved before the states were parsed")
+
+    monkeypatch.setattr(pipeline, "build_orbital_set", no_orbitals)
     with pytest.raises(InvalidParameterError):
-        solve_in_context(built[0], "1s2s-3S")
+        build_context(config, ["bogus"])
 
 
 def test_default_scan_charges():
