@@ -16,7 +16,6 @@ from .errors import (
     FactorizationError,
     HelikeError,
     InvalidParameterError,
-    NegativeEigenvalueError,
 )
 
 EXIT_OK = 0
@@ -27,7 +26,6 @@ EXIT_PARTIAL = 3
 CONFIG_ERRORS = (InvalidParameterError,)
 NUMERICAL_ERRORS = (
     FactorizationError,
-    NegativeEigenvalueError,
     MemoryError,
     np.linalg.LinAlgError,
 )

@@ -1,12 +1,14 @@
-"""One-particle reduced density matrix and entanglement entropies.
+"""One-particle reduced density matrix spectrum and entanglement entropies.
 
 For an L = 0 CI state the RDM is block-diagonal in (l, m) with identical
-blocks for every m, so reduced_density_matrix folds the CI vector, block
-by block along ConfigList.blocks(), into one square pair-coefficient matrix
-C^l per l (symmetric for singlets, antisymmetric for triplets) and returns
-rho^l = C^l (C^l)^T / (2l+1); each occupation eigenvalue carries
-degeneracy 2l+1.  The explicit m-resolved construction is kept in
-crosscheck.py as the test oracle for this fold.
+blocks for every m, so state_spectrum folds the CI vector, block by block
+along ConfigList.blocks(), into one square pair-coefficient matrix C^l per
+l (symmetric for singlets, antisymmetric for triplets).  The per-(l, m)
+block is rho^l = C^l (C^l)^T / (2l+1), so its occupations are the squared
+singular values of C^l over 2l+1 (Lowdin & Shull, Phys. Rev. 101, 1730
+(1956)), each with degeneracy 2l+1: non-negative by construction, and a
+tiny occupation keeps its relative accuracy.  The explicit m-resolved
+construction is kept in crosscheck.py as the test oracle for this fold.
 """
 from __future__ import annotations
 
@@ -16,57 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import CIState, ConfigList
-from .errors import (
-    InconsistentInputError,
-    InvalidParameterError,
-    NegativeEigenvalueError,
-)
+from .errors import InconsistentInputError, InvalidParameterError
 
 EIGENVALUE_FLOOR = 1e-14
-CLAMP_TOL = 1e-10
 TRACE_TOL = 1e-10
-
-
-def reduced_density_matrix(state: CIState,
-                           configs: ConfigList) -> dict[int, np.ndarray]:
-    """Per-l RDM blocks rho^l = C^l (C^l)^T / (2l+1), normalized to unit trace.
-
-    C^l[i, j] couples radial indices i = n - l - 1 and j = n' - l - 1.  A
-    distinct-orbital amplitude T splits as T/sqrt(2) at (i, j) and
-    +-T/sqrt(2) at (j, i) (- for triplets); a same-orbital singlet amplitude
-    sits on the diagonal with weight T (the CSF's 1/sqrt(2) undone), so C^l
-    is exactly the two-particle state.  l blocks without configurations are
-    left out.  The weighted traces sum(2l+1) Tr rho^l add up to 1 for a
-    normalized state (asserted to 1e-10 before the final renormalization).
-    """
-    if len(state.coefficients) != len(configs):
-        raise InconsistentInputError(
-            "state vector length does not match the configuration list"
-        )
-    if state.S != configs.S:
-        raise InconsistentInputError("state and configuration spins differ")
-    sign = 1.0 if configs.S == 0 else -1.0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    rho = {}
-    total = 0.0
-    for l, (rows, i, j) in configs.blocks().items():
-        if not len(i):
-            continue
-        amp = state.coefficients[rows]
-        C = np.zeros((configs.n_max - l, configs.n_max - l))
-        C[i, j] = amp * inv_sqrt2
-        C[j, i] = sign * amp * inv_sqrt2
-        d = i == j   # same-orbital singlets: the diagonal holds T itself
-        C[i[d], i[d]] = amp[d]
-        rho[l] = (C @ C.T) / (2 * l + 1)
-        total += (2 * l + 1) * np.trace(rho[l])
-    if abs(total - 1.0) > TRACE_TOL:
-        raise InconsistentInputError(
-            f"pre-normalization trace {total} deviates from 1 beyond {TRACE_TOL}"
-        )
-    for l in rho:
-        rho[l] /= total
-    return rho
 
 
 @dataclass
@@ -86,29 +41,47 @@ class RdmSpectrum:
         return float(np.dot(self.degeneracies, np.square(self.eigenvalues)))
 
 
-def rdm_spectrum(rho: dict[int, np.ndarray]) -> RdmSpectrum:
-    """Eigendecompose every l block; clamp tiny negatives, attach 2l+1."""
-    lams, gs, ls = [], [], []
-    for l in sorted(rho):
-        lam = np.linalg.eigvalsh(rho[l])
-        if lam.min() < -CLAMP_TOL:
-            raise NegativeEigenvalueError(
-                f"RDM block l={l} has eigenvalue {lam.min()}"
-            )
-        lam = np.clip(lam, 0.0, 1.0)
-        lams.append(lam[::-1])
-        gs.append(np.full(len(lam), 2 * l + 1))
-        ls.append(np.full(len(lam), l))
-    return RdmSpectrum(
-        eigenvalues=np.concatenate(lams),
-        degeneracies=np.concatenate(gs).astype(float),
-        l_labels=np.concatenate(ls),
-    )
-
-
 def state_spectrum(state: CIState, configs: ConfigList) -> RdmSpectrum:
-    """Convenience: CI state -> occupation spectrum."""
-    return rdm_spectrum(reduced_density_matrix(state, configs))
+    """Occupation spectrum sigma(C^l)^2 / (2l+1) of a CI state, unit trace.
+
+    C^l[i, j] couples radial indices i = n - l - 1 and j = n' - l - 1.  A
+    distinct-orbital amplitude T splits as T/sqrt(2) at (i, j) and
+    +-T/sqrt(2) at (j, i) (- for triplets); a same-orbital singlet amplitude
+    sits on the diagonal with weight T (the CSF's 1/sqrt(2) undone), so C^l
+    is exactly the two-particle state.  l blocks without configurations are
+    left out; each block's occupations come in descending order.  The
+    weighted trace sum_l ||C^l||_F^2 is 1 for a normalized state (asserted
+    to TRACE_TOL before the final renormalization).
+    """
+    if len(state.coefficients) != len(configs):
+        raise InconsistentInputError(
+            "state vector length does not match the configuration list"
+        )
+    if state.S != configs.S:
+        raise InconsistentInputError("state and configuration spins differ")
+    sign = 1.0 if configs.S == 0 else -1.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    sigma2, ls = [], []
+    for l, (rows, i, j) in configs.blocks().items():
+        if not len(i):
+            continue
+        amp = state.coefficients[rows]
+        C = np.zeros((configs.n_max - l, configs.n_max - l))
+        C[i, j] = amp * inv_sqrt2
+        C[j, i] = sign * amp * inv_sqrt2
+        d = i == j   # same-orbital singlets: the diagonal holds T itself
+        C[i[d], i[d]] = amp[d]
+        sigma2.append(np.linalg.svd(C, compute_uv=False) ** 2)
+        ls.append(np.full(len(C), l))
+    total = sum(s.sum() for s in sigma2)   # sum_l ||C^l||_F^2
+    if abs(total - 1.0) > TRACE_TOL:
+        raise InconsistentInputError(
+            f"pre-normalization trace {total} deviates from 1 beyond {TRACE_TOL}"
+        )
+    l_labels = np.concatenate(ls)
+    g = 2.0 * l_labels + 1.0
+    return RdmSpectrum(eigenvalues=np.concatenate(sigma2) / (g * total),
+                       degeneracies=g, l_labels=l_labels)
 
 
 def von_neumann_entropy(spectrum: RdmSpectrum) -> float:

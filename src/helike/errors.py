@@ -21,9 +21,5 @@ class FactorizationError(HelikeError, RuntimeError):
     """Overlap matrix is not positive-definite; the basis is degenerate."""
 
 
-class NegativeEigenvalueError(HelikeError, RuntimeError):
-    """A reduced-density-matrix eigenvalue is significantly negative."""
-
-
 class InconsistentInputError(HelikeError, ValueError):
     """Two arguments that must describe the same object do not."""

@@ -149,33 +149,15 @@ CONVERGENCE_FIELDS = ["l_max", "n_max", "energy", "s_linear", "s_von_neumann"]
 SPECTRUM_FIELDS = ["l", "eigenvalue", "degeneracy"]
 
 
-def _config_columns(config: RunConfig, skip=()) -> dict:
+def _rows(items, fields: list[str], config: RunConfig) -> list[dict]:
+    """One row per item: each field from the item, else from config."""
     cols = dataclasses.asdict(config)
-    cols.pop("state", None)
-    for name in skip:
-        cols.pop(name, None)
-    return cols
+    return [{name: getattr(item, name) if hasattr(item, name)
+             else cols[name] for name in fields} for item in items]
 
 
 def solve_rows(report: StateReport) -> list[dict]:
-    row = {
-        "z": report.config.z,
-        "state": report.state,
-        "spin": report.spin,
-        "energy": report.energy,
-        "threshold": report.threshold,
-        "s_linear": report.s_linear,
-        "s_von_neumann": report.s_von_neumann,
-        "s_von_neumann_nats": report.s_von_neumann_nats,
-        "xi_sz0": report.xi_sz0,
-        "xi_polarized": report.xi_polarized,
-        "dominant": report.dominant,
-        "dominant_weight": report.dominant_weight,
-        "selection": report.selection,
-        "ambiguous": report.ambiguous,
-    }
-    row.update(_config_columns(report.config, skip=("z",)))
-    return [row]
+    return _rows([report], SOLVE_FIELDS, report.config)
 
 
 def spectrum_rows(report: StateReport) -> list[dict]:
@@ -189,19 +171,7 @@ def spectrum_rows(report: StateReport) -> list[dict]:
 
 
 def scan_rows(result: ZScanResult) -> list[dict]:
-    base = _config_columns(result.config, skip=("z", "r_max"))
-    rows = []
-    for r in result.rows:
-        row = {
-            "z": r.z, "inv_z": r.inv_z, "state": r.state,
-            "energy": r.energy, "s_linear": r.s_linear,
-            "s_von_neumann": r.s_von_neumann,
-            "dominant_weight": r.dominant_weight,
-            "r_max": r.r_max, "selection": r.selection,
-        }
-        row.update(base)
-        rows.append(row)
-    return rows
+    return _rows(result.rows, SCAN_FIELDS, result.config)
 
 
 def convergence_rows(result: ConvergenceResult) -> list[dict]:

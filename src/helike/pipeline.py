@@ -118,7 +118,7 @@ class RunConfig:
     l_max: int = 3
     n_max: int = 25
     order: int = DEFAULT_ORDER
-    n_splines: int | None = None     # default: n_max + 4
+    n_splines: int | None = None     # default: max(n_max + 4, order + 1)
     r_max: float | None = None       # default: default_box_radius(z)
     grid: str = "exponential"
     gamma: float | None = None       # default: default_gamma(r_max)
@@ -129,7 +129,7 @@ class RunConfig:
         return replace(
             self,
             n_splines=(self.n_splines if self.n_splines is not None
-                       else self.n_max + EXTRA_SPLINES),
+                       else max(self.n_max + EXTRA_SPLINES, self.order + 1)),
             r_max=r,
             gamma=self.gamma if self.gamma is not None else default_gamma(r),
             quad_points=(self.quad_points if self.quad_points is not None
@@ -337,26 +337,31 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     that gather; the gather is freed before the next column's.  Each cell
     goes through lowest_states: roots 0..n2 - S, and the full eigh only
     when they cannot prove the pick.  Cells with n_max <= l_max or n_max
-    below the target's n2 are skipped.  Rows come back ordered by l_max,
-    then n_max.
+    below the target's n2 are skipped, and the shared basis stops at the
+    largest l of a cell that is left; it is an InvalidParameterError when
+    no cell is left.  Rows come back ordered by l_max, then n_max.
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
     if not l_values or not n_values or l_values[0] < 0:
         raise InvalidParameterError(
             f"need nonempty convergence axes and l >= 0, got {l_values}")
-    big = replace(config, l_max=l_values[-1], n_max=n_values[-1])
     pair, spin = parse_state(config.state)
+    n_cuts = [n for n in n_values if n >= pair[1] and n > l_values[0]]
+    if not n_cuts:
+        raise InvalidParameterError(
+            f"no cell of l {l_values} x n {n_values} has l_max < n_max "
+            f"and n_max >= {pair[1]}, the target's n2")
+    big = replace(config, l_max=min(l_values[-1], n_cuts[-1] - 1),
+                  n_max=n_cuts[-1])
     ctx = build_context(big, (config.state,))
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
     ls = np.array([c.l for c in cfgs])
     n2s = np.array([c.n2 for c in cfgs])
     rows = []
-    for n_cut in n_values:
+    for n_cut in n_cuts:
         l_cuts = [l for l in l_values if l < n_cut]
-        if n_cut < pair[1] or not l_cuts:
-            continue
         keep = np.flatnonzero(n2s <= n_cut)
         Hn = H if len(keep) == len(H) else H[np.ix_(keep, keep)]
         leads = np.searchsorted(ls[keep], l_cuts, side="right")

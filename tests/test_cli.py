@@ -51,6 +51,11 @@ def test_converge_verb(tmp_path):
     assert code == 0
     rows = read_csv(tmp_path / "convergence.csv")
     assert len(rows) == 4
+    # l_max = 3 has no cell below n_max = 3; the other cells still run
+    code = run(["converge", "--lvalues", "0,1,2,3", "--nvalues", "2,3",
+                "--out", str(tmp_path)])
+    assert code == 0
+    assert len(read_csv(tmp_path / "convergence.csv")) == 5
 
 
 def test_zscan_verb_with_svg(tmp_path):

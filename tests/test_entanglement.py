@@ -10,17 +10,11 @@ from helike.crosscheck import rdm_m_resolved
 from helike.entanglement import (
     RdmSpectrum,
     linear_entropy,
-    rdm_spectrum,
-    reduced_density_matrix,
     spin_weighted_entanglement,
     state_spectrum,
     von_neumann_entropy,
 )
-from helike.errors import (
-    InconsistentInputError,
-    InvalidParameterError,
-    NegativeEigenvalueError,
-)
+from helike.errors import InconsistentInputError, InvalidParameterError
 from helike.orbitals import build_orbital_set
 from helike.slater import SlaterIntegralTable
 
@@ -58,13 +52,40 @@ def random_state(configs, seed):
                    S=configs.S, dominant=configs[0], dominant_weight=0.0)
 
 
+def with_pair_matrix(state, configs, l, C):
+    """state with its l block replaced by the pair-coefficient matrix C.
+
+    The inverse of state_spectrum's fold: T = C[i, i] on the diagonal and
+    T = sqrt(2) C[i, j] for i < j.
+    """
+    rows, i, j = configs.blocks()[l]
+    coefficients = state.coefficients.copy()
+    coefficients[rows] = np.where(i == j, 1.0, np.sqrt(2.0)) * C[i, j]
+    return CIState(energy=state.energy, coefficients=coefficients,
+                   label=state.label, S=state.S, dominant=state.dominant,
+                   dominant_weight=state.dominant_weight)
+
+
 def test_rdm_trace_and_psd():
     for state, configs in STATES:
-        rho = reduced_density_matrix(state, configs)
-        total = sum((2 * l + 1) * np.trace(b) for l, b in rho.items())
-        assert_allclose(total, 1.0, atol=1e-12)
-        for b in rho.values():
-            assert np.linalg.eigvalsh(b).min() > -1e-12
+        spec = state_spectrum(state, configs)
+        assert_allclose(np.dot(spec.degeneracies, spec.eigenvalues), 1.0,
+                        atol=1e-12)
+        assert spec.eigenvalues.min() >= 0.0
+
+
+def test_small_occupations_keep_relative_accuracy():
+    # singlet l = 0 state C = Q diag(sigma) Q^T: its occupations are
+    # sigma^2 down to 1e-18, below the ~1e-16 absolute error of an
+    # eigensolve of C C^T
+    configs = build_config_list(0, 4, 0)
+    sigma = np.array([0.95, 0.3, 1e-3, 1e-9])
+    sigma /= np.linalg.norm(sigma)
+    Q, _ = np.linalg.qr(RNG.normal(size=(4, 4)))
+    state = with_pair_matrix(random_state(configs, 0), configs, 0,
+                             Q @ np.diag(sigma) @ Q.T)
+    spec = state_spectrum(state, configs)
+    assert_allclose(spec.eigenvalues, sigma ** 2, rtol=1e-6, atol=0.0)
 
 
 def test_block_rdm_matches_m_resolved():
@@ -128,15 +149,18 @@ def test_entropy_permutation_invariance():
 
 def test_rotation_invariance():
     # an orthogonal rotation of the radial basis inside one l block,
-    # rho^0 -> Q rho^0 Q^T, leaves the occupation spectrum, hence both
+    # C^0 -> Q C^0 Q^T, leaves the occupation spectrum, hence both
     # entropies, unchanged
     state, configs = STATES[0]
-    rho = reduced_density_matrix(state, configs)
-    spec = rdm_spectrum(rho)
-    m = rho[0].shape[0]
+    spec = state_spectrum(state, configs)
+    rows, i, j = configs.blocks()[0]
+    m = configs.n_max
+    C = np.zeros((m, m))
+    C[i, j] = C[j, i] = state.coefficients[rows] / np.sqrt(2.0)
+    C[i[i == j], i[i == j]] = state.coefficients[rows][i == j]
     Q, _ = np.linalg.qr(RNG.normal(size=(m, m)))
-    rho[0] = Q @ rho[0] @ Q.T
-    rotated = rdm_spectrum(rho)
+    rotated = state_spectrum(
+        with_pair_matrix(state, configs, 0, Q @ C @ Q.T), configs)
     assert_allclose(von_neumann_entropy(spec), von_neumann_entropy(rotated),
                     atol=1e-12)
     assert_allclose(linear_entropy(spec), linear_entropy(rotated),
@@ -158,16 +182,20 @@ def test_error_paths():
     bad = CIState(energy=0.0, coefficients=state.coefficients[:-1],
                   label="bad", S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
-        reduced_density_matrix(bad, configs)
+        state_spectrum(bad, configs)
     triplets = STATES[-1][1]
     flipped = CIState(energy=0.0, coefficients=np.zeros(len(triplets)),
                       label="s", S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError, match="spins"):
-        reduced_density_matrix(flipped, triplets)
+        state_spectrum(flipped, triplets)
     unnormalized = CIState(
         energy=0.0, coefficients=2.0 * state.coefficients, label="u",
         S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
-        reduced_density_matrix(unnormalized, configs)
-    with pytest.raises(NegativeEigenvalueError):
-        rdm_spectrum({0: np.array([[1.5, 0.0], [0.0, -0.5]])})
+        state_spectrum(unnormalized, configs)
+    # no configurations at all (triplets at n_max = 1): a zero trace too
+    empty = build_config_list(0, 1, 1)
+    nothing = CIState(energy=0.0, coefficients=np.zeros(0), label="e",
+                      S=1, dominant=None, dominant_weight=0.0)
+    with pytest.raises(InconsistentInputError):
+        state_spectrum(nothing, empty)

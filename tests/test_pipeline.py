@@ -127,6 +127,20 @@ def test_run_convergence_triplet_bound():
     assert cells[0] == cells[1] == [(0, 8), (1, 8)]
 
 
+def test_run_convergence_caps_basis_at_largest_cell():
+    # l = 3 has no cell with n_max <= 3, so the shared basis stops at l = 2
+    # and every other cell is the one an l <= 2 table computes
+    config = RunConfig(z=2.0, state="ground")
+    result = run_convergence(config, [0, 1, 2, 3], [2, 3])
+    assert [(r.l_max, r.n_max) for r in result.rows] == [
+        (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert result.config.l_max == 2
+    reference = run_convergence(config, [0, 1, 2], [2, 3])
+    assert repr(result.rows) == repr(reference.rows)
+    with pytest.raises(InvalidParameterError):
+        run_convergence(config, [5], [3])
+
+
 def test_convergence_cells_match_submatrix_solves(monkeypatch):
     """Each cell equals a solve of its own copied submatrix of H.
 
