@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, choices=("csv", "json"), state=True):
+    def common(p, choices=("csv", "json"), state=True, truncation=True):
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
         p.add_argument("--z", type=float, default=None,
@@ -47,10 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         if state:
             p.add_argument("--state", default=None,
                            help="state spec, e.g. 1s2-1S, 1s2s-3S, ground")
-        p.add_argument("--lmax", type=int, default=None,
-                       help="largest orbital angular momentum in the CI")
-        p.add_argument("--nmax", type=int, default=None,
-                       help="largest principal quantum number per l")
+        if truncation:
+            p.add_argument("--lmax", type=int, default=None,
+                           help="largest orbital angular momentum in the CI")
+            p.add_argument("--nmax", type=int, default=None,
+                           help="largest principal quantum number per l")
         p.add_argument("--rmax", type=float, default=None,
                        help="radial box size in a.u. (default: policy by Z)")
         p.add_argument("--order", type=int, default=None,
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge",
                             help="entropy table over (l_max, n_max) cut-offs")
-    common(p_conv)
+    # the table's truncations are its axes, not --lmax/--nmax
+    common(p_conv, truncation=False)
     p_conv.add_argument("--lvalues", default="0,1,2,3",
                         help="comma-separated l_max column values")
     p_conv.add_argument("--nvalues", default="5,10,15,20,25",
@@ -88,14 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args, defaults: dict | None = None) -> pipeline.RunConfig:
     file_values = (formats.load_config_file(args.config)
                    if args.config else {})
-    if "state" in file_values and not hasattr(args, "state"):
-        raise InvalidParameterError(
-            f"config key 'state' does not apply to {args.verb}, which "
-            "solves --states")
     overrides = dict(defaults or {})
     for key, attr in (("z", "z"), ("state", "state"), ("l_max", "lmax"),
                       ("n_max", "nmax"), ("r_max", "rmax"),
                       ("order", "order")):
+        # a key whose flag the verb lacks would go unused: zscan solves
+        # --states, converge cuts at --lvalues/--nvalues
+        if key in file_values and not hasattr(args, attr):
+            raise InvalidParameterError(
+                f"config key {key!r} does not apply to {args.verb}, "
+                f"which takes no --{attr}")
         value = getattr(args, attr, None)
         if value is not None:
             overrides[key] = value

@@ -5,9 +5,10 @@ for one (Z, state).  A context at one charge serves a fixed set of states:
 one assembly computes each R^k block once for every spin they need, and
 one lowest_states call per spin picks all of that spin's states from the
 roots they need, diagonalizing in full only when those cannot prove a
-pick.  Convergence tables reuse one large Hamiltonian: one gather of its
-rows per n_max column, and each l_max cell of the column a leading view
-of that gather.  Z scans walk a charge grid down to the critical region
+pick.  Convergence tables reuse one large Hamiltonian: each n_max column,
+largest first, compacts its rows into the leading block of H's own
+buffer, and each l_max cell of the column solves a leading view of that
+block.  Z scans walk a charge grid down to the critical region
 near Z = 1, enlarging the radial box as the outer electron delocalizes,
 solve all states of one charge in one context, and never let one failed
 row abort the rest.
@@ -38,7 +39,7 @@ from .entanglement import (
 )
 from .errors import HelikeError, InvalidParameterError
 from .orbitals import RadialOrbitalSet, build_orbital_set
-from .slater import SlaterIntegralTable
+from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
 
 DEFAULT_ORDER = 7
 MAX_BOX_RADIUS = 1200.0
@@ -332,14 +333,16 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     all cells share identical orbitals and radial integrals and differ only
     in the CI cut-off.  Configurations are ordered by l, then n1, then n2,
     so among the rows with n2 <= n_cut those with l <= l_cut come first.
-    Each n_cut column therefore gathers its rows of H once (H itself at
-    the largest n_cut), and each of its cells solves a leading view of
-    that gather; the gather is freed before the next column's.  Each cell
-    goes through lowest_states: roots 0..n2 - S, and the full eigh only
-    when they cannot prove the pick.  Cells with n_max <= l_max or n_max
-    below the target's n2 are skipped, and the shared basis stops at the
-    largest l of a cell that is left; it is an InvalidParameterError when
-    no cell is left.  Rows come back ordered by l_max, then n_max.
+    The n_cut columns run from the largest down: the largest is H itself,
+    and each later one compacts its rows of the previous column into the
+    leading m x m of H's own flat buffer, in place, so each cell solves a
+    leading view of that one buffer and the table allocates no matrix
+    beyond H.  H is overwritten on return.  Each cell goes through
+    lowest_states: roots 0..n2 - S, and the full eigh only when they
+    cannot prove the pick.  Cells with n_max <= l_max or n_max below the
+    target's n2 are skipped, and the shared basis stops at the largest l
+    of a cell that is left; it is an InvalidParameterError when no cell is
+    left.  Rows come back ordered by l_max, then n_max.
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
@@ -359,15 +362,29 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
     ls = np.array([c.l for c in cfgs])
     n2s = np.array([c.n2 for c in cfgs])
+    flat, Hn = H.reshape(-1), H
+    kept = np.arange(len(cfgs))   # the configurations of column Hn
     rows = []
-    for n_cut in n_cuts:
+    for n_cut in reversed(n_cuts):
+        keep = np.flatnonzero(n2s[kept] <= n_cut)
+        m = len(keep)
+        if m < len(Hn):
+            # keep is ascending, so row i of n x n Hn lands at flat offset
+            # i*m, at most keep[i]*n; each chunk is gathered before it is
+            # written, and chunk [i, i + t) writes below keep[i + t]*n,
+            # where the first row not yet read starts: no source is
+            # overwritten before it is read
+            for i in range(0, m, SYMMETRIZE_TILE):
+                chunk = keep[i:i + SYMMETRIZE_TILE]
+                flat[i * m:(i + len(chunk)) * m] = \
+                    Hn[np.ix_(chunk, keep)].ravel()
+            Hn = flat[:m * m].reshape(m, m)
+            kept = kept[keep]
         l_cuts = [l for l in l_values if l < n_cut]
-        keep = np.flatnonzero(n2s <= n_cut)
-        Hn = H if len(keep) == len(H) else H[np.ix_(keep, keep)]
-        leads = np.searchsorted(ls[keep], l_cuts, side="right")
+        leads = np.searchsorted(ls[kept], l_cuts, side="right")
         for l_cut, lead in zip(l_cuts, leads):
             sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
-                             configs=[cfgs[i] for i in keep[:lead]])
+                             configs=[cfgs[i] for i in kept[:lead]])
             state = lowest_states(Hn[:lead, :lead], sub, [pair])[0]
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
@@ -375,7 +392,6 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
                 s_linear=linear_entropy(rdm),
                 s_von_neumann=von_neumann_entropy(rdm),
             ))
-        del Hn  # free this column's gather before the next one
     rows.sort(key=lambda r: (r.l_max, r.n_max))
     return ConvergenceResult(config=big.resolve(), rows=rows)
 

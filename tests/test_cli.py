@@ -56,6 +56,15 @@ def test_converge_verb(tmp_path):
                 "--out", str(tmp_path)])
     assert code == 0
     assert len(read_csv(tmp_path / "convergence.csv")) == 5
+    # the table cuts only at its axes: --lmax/--nmax and a config file's
+    # l_max/n_max would go unused, so they are errors, not ignored
+    assert run(["converge", "--lmax", "9", "--nmax", "3", "--lvalues",
+                "0,1", "--nvalues", "4,6", "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "cut.cfg"
+    for key in ("l_max = 1", "n_max = 6"):
+        cfg.write_text(key + "\n")
+        assert run(["converge", "--config", str(cfg), "--lvalues", "0,1",
+                    "--nvalues", "4,6", "--out", str(tmp_path)]) == 1
 
 
 def test_zscan_verb_with_svg(tmp_path):
@@ -109,11 +118,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
     assert run(["converge", "--lvalues=-1,1", "--out", str(tmp_path)]) == 1
     # argparse usage errors share the code: svg is zscan-only, zscan takes
-    # --states, not --state, and no verb takes --threads
+    # --states, not --state, converge takes no --lmax/--nmax, and no verb
+    # takes --threads
     assert run(["solve", "--lmax", "x"]) == 1
     assert run(["zscan", "--state", "1s3s-1S", "--out", str(tmp_path)]) == 1
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1
     assert run(["converge", "--format", "svg", "--out", str(tmp_path)]) == 1
+    assert run(["converge", "--nmax", "3", "--out", str(tmp_path)]) == 1
     # the box comes from --rmax or the Z policy; no verb searches for one
     assert run(["solve", "--escalate-box", "--out", str(tmp_path)]) == 1
     assert run(["zscan", "--escalate-box", "--out", str(tmp_path)]) == 1

@@ -1,5 +1,6 @@
 """Pipeline orchestration: configs, solves, convergence grids, scans."""
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -146,16 +147,17 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
 
     The axes come unsorted and with a repeat, and the table skips the
     cells with n_max <= l_max.  The matrices handed to lowest_states are
-    recorded: one n_max column's cells all read one gather, and the
-    largest column reads the assembled H itself.
+    recorded: every one is a view of the assembled H, which the table
+    overwrites as it compacts its columns, so the oracle reads a copy.
     """
-    assembled, solved = [], []
+    assembled, copies, solved = [], [], []
     assemble = pipeline.assemble_hamiltonian
     lowest = pipeline.lowest_states
 
     def recording_assemble(*args):
         Hs = assemble(*args)
         assembled.extend(Hs)
+        copies.extend(H.copy() for H in Hs)
         return Hs
 
     def recording_lowest(H, configs, pairs):
@@ -169,7 +171,7 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
     got = [(r.l_max, r.n_max, r.energy, r.s_linear, r.s_von_neumann)
            for r in table.rows]
 
-    (H,) = assembled
+    (H,) = copies
     pair, spin = parse_state(config.state)
     cfgs = ci.build_config_list(2, 8, spin)
     want = []
@@ -189,10 +191,36 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
     assert [(l, n) for l, n, *_ in got] == [
         (0, 2), (0, 5), (0, 8), (1, 2), (1, 5), (1, 8), (2, 5), (2, 8)]
     assert got == want
+    assert len(solved) == len(want)
     for l_cut, n_cut, M in solved:
-        assert np.shares_memory(M, H) == (n_cut == 8), (l_cut, n_cut)
-        for l_other, n_other, other in solved:
-            assert np.shares_memory(M, other) == (n_cut == n_other)
+        assert np.shares_memory(M, assembled[0]), (l_cut, n_cut)
+
+
+def test_convergence_solve_loop_copies_no_column(monkeypatch):
+    """After the assembly the table allocates less than one column's H.
+
+    At the n_max = 20 column of this table a gather of its rows of H
+    would alone cost 8*m^2 bytes above what the assembly left behind.
+    """
+    after = []
+    assemble = pipeline.assemble_hamiltonian
+
+    def marking_assemble(*args):
+        Hs = assemble(*args)
+        after.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return Hs
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", marking_assemble)
+    tracemalloc.start()
+    try:
+        run_convergence(RunConfig(z=2.0, state="ground"), [0, 1, 2],
+                        [15, 20, 25])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len([c for c in ci.build_config_list(2, 25, 0) if c.n2 <= 20])
+    assert peak - after[0] < 8 * m * m
 
 
 def test_lowest_root_solves_match_full_eigh(monkeypatch):
