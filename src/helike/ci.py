@@ -243,12 +243,13 @@ class Spectrum:
 
 # partial spectra of matrices with at least this many rows go to davidson,
 # smaller ones to the complete eigh.  First-rung solves (roots 0..1 or
-# 0..2), median of 7 calls, davidson / eigh on He l4,n30 cells: 1.35 / 1.15
-# ms at 85 rows, 1.39-1.68 / 1.61 ms at 100, 1.70-1.76 / 2.52 ms at 136
-# and 2.66-3.02 / 14.6 ms at 316.  The Z-scan basis (274 / 316 rows) is
-# above the cut, so its energy-order picks pay a first rung before their
-# complete eigh: on the 16 zscan matrices 16 first rungs and 7 complete
-# eigh took 0.165 s against 0.243 s for 16 complete eigh.
+# 0..2), median of 7 calls on a 2-vCPU Xeon, two runs, davidson / eigh on
+# He l4,n30 submatrices: 0.98-1.92 / 0.78-1.06 ms at 85 rows, 0.83-1.43 /
+# 1.25-1.51 ms at 100, 1.03-1.52 / 1.90-2.39 ms at 136 and 2.37-3.91 /
+# 12.8-15.8 ms at 316.  The Z-scan basis (274 / 316 rows) is above the
+# cut, so its energy-order picks pay a first rung before their complete
+# eigh: on the 16 zscan matrices 16 first rungs and 7 complete eigh took
+# 0.14-0.18 s against 0.18-0.24 s for 16 complete eigh.
 DAVIDSON_MIN_DIM = 100
 DAVIDSON_MAX_ITER = 50
 # davidson's smallest start subspace.  On the He l3,n25 Z = 1 singlet the
@@ -318,6 +319,11 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     (theta - diag H)^-1 r, orthonormalized twice against the subspace;
     past 4 b columns the subspace restarts on the b lowest Ritz vectors.
     A root has converged when ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
+    Products with H are taken in row order, H V as (V^T H)^T, and the start
+    block's H columns are read as rows; both equal H V only because H is
+    exactly symmetric, which diagonalize checks before it calls davidson.
+    H may be a leading view of a larger matrix; the products read it in
+    place.
 
     The spectrum's ritz_error is 2 sqrt(2) max ||r_i|| / g, with g the
     smallest gap between consecutive Ritz values 0..top + 1, value top + 1
@@ -338,7 +344,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     V = np.zeros((n, width), order="F")
     V[start, np.arange(block)] = 1.0
     HV = np.empty((n, width), order="F")
-    HV[:, :block] = H[:, start]
+    HV[:, :block] = H[start].T
     m = block
     for _ in range(DAVIDSON_MAX_ITER):
         theta, s = np.linalg.eigh(V[:, :m].T @ HV[:, :m])
@@ -370,7 +376,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
                 grown += 1
         if grown == m:
             break
-        HV[:, m:grown] = H @ V[:, m:grown]
+        np.matmul(V[:, m:grown].T, H, out=HV[:, m:grown].T)
         m = grown
     return _eigh(H)
 

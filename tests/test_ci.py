@@ -351,6 +351,47 @@ def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
     assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
 
+def test_diagonalize_rejects_asymmetric_hamiltonian():
+    # davidson forms H V as (V^T H)^T, which equals H V only when H is
+    # exactly symmetric: one ulp off must fail on the eigh and the
+    # Davidson route alike, before either solves
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
+    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
+                                ctx.slater)
+    assert len(H) >= ci.DAVIDSON_MIN_DIM
+    skewed = H.copy()
+    skewed[3, 40] = np.nextafter(skewed[3, 40], np.inf)
+    for bad in (skewed, H[:, :-1]):
+        for top in (None, 2):
+            with pytest.raises(InconsistentInputError):
+                diagonalize(bad, top)
+
+
+def test_davidson_on_leading_view_copies_nothing():
+    """run_convergence passes leading views H[:m, :m] of one larger H.
+
+    davidson must solve such a view as it solves its contiguous copy, and
+    its products must read the view in place: a copy alone is 8 m^2 bytes.
+    """
+    ctx = build_context(RunConfig(z=2.0, l_max=4, n_max=30))
+    (H,) = assemble_hamiltonian([build_config_list(4, 30, 0)], ctx.orbitals,
+                                ctx.slater)
+    m = len(build_config_list(2, 30, 0))   # the l <= 2 rows lead
+    view = H[:m, :m]
+    assert not view.flags.contiguous
+    tracemalloc.start()
+    try:
+        got = davidson(view, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m / 4
+    want = davidson(np.ascontiguousarray(view), 1)
+    assert got.ritz_error is not None and want.ritz_error is not None
+    assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+    assert_allclose(got.eigenvectors, want.eigenvectors, rtol=0, atol=1e-12)
+
+
 def test_helium_energies_small_basis():
     # modest basis: energies land within a few mH of the converged values
     basis = BSplineBasis(make_knots(60.0, 19, 7))
