@@ -225,7 +225,7 @@ class Spectrum:
     """Roots 0..top of one CI matrix, ascending, with column eigenvectors.
 
     A full decomposition holds every root; complete tells the two apart.
-    ritz_error is None for an eigh decomposition, whose columns are exact
+    ritz_error is 0.0 for an eigh decomposition, whose columns are exact
     eigenvectors to rounding.  A Davidson spectrum sets it to a bound
     on how far one column's weight on a configuration may lie from its
     exact eigenvector's value.
@@ -234,7 +234,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-    ritz_error: float | None = None
+    ritz_error: float = 0.0
 
     @property
     def complete(self) -> bool:
@@ -428,7 +428,7 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     weights = spectrum.eigenvectors[row, :] ** 2
     best = int(np.argmax(weights))
     weight = float(weights[best])
-    margin = PROOF_MARGIN + 2.0 * (spectrum.ritz_error or 0.0)
+    margin = PROOF_MARGIN + 2.0 * spectrum.ritz_error
     if not spectrum.complete and weight <= AMBIGUOUS_WEIGHT + margin:
         return None
     ambiguous = weight < AMBIGUOUS_WEIGHT

@@ -101,8 +101,8 @@ def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d,
 
     def oriented(ia, la, ic, lc, ib, lb, id_, ld):
         # pair (a, c) on the outer quadrature, (b, d) in the inner integral
-        outer = (slater._samples(la)[0][ia] * slater.w
-                 * slater._samples(lc)[0][ic])
+        outer = (slater._samples[la][0][ia] * slater.w
+                 * slater._samples[lc][0][ic])
         return outer @ inner(lb, ld)[ib, id_]
 
     return float(0.5 * (oriented(ia, la, ic, lc, ib, lb, id_, ld)

@@ -1,11 +1,12 @@
 """High-level pipelines: single-state solves, convergence tables, Z scans.
 
 A solve runs basis -> orbitals -> CI -> reduced density matrix -> entropies
-for one (Z, state).  A context at one charge serves a fixed set of states:
-one assembly computes each R^k block once for every spin they need, and
-one lowest_states call per spin picks all of that spin's states from the
-roots they need, diagonalizing in full only when those cannot prove a
-pick.  Convergence tables reuse one large Hamiltonian: each n_max column,
+for one (Z, state).  A context at one charge is built with its fixed set
+of states already solved: one assembly computes each R^k block once for
+every spin they need, and one lowest_states call per spin picks all of
+that spin's states from the roots they need, diagonalizing in full only
+when those cannot prove a pick; a request only looks its state up.
+Convergence tables reuse one large Hamiltonian: each n_max column,
 largest first, compacts its rows into the leading block of H's own
 buffer, and each l_max cell of the column solves a leading view of that
 block.  Z scans walk a charge grid down to the critical region
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,59 +184,34 @@ def lowest_states(H: np.ndarray, configs: ConfigList,
     return states
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineContext:
     """One basis at one charge: orbitals, R^k table and the states it serves.
 
     Every state solved at this charge shares it, so a Z-scan solves its
-    1s2s 1S and 3S terms in one basis.  targets maps each spin to the
-    s-pairs of its served states inside the basis.  The first request
-    assembles every spin of targets in one assemble_hamiltonian call, so
-    each R^k block is computed once per charge.  The first request of a
-    spin solves all its pairs in one lowest_states call; unsolved then
-    drops that spin's (configurations, H), or keeps them when the solve
-    raises, so the next request retries.  Later requests look their state
-    up.  config.state is only the state the context was configured with.
+    1s2s 1S and 3S terms in one basis.  states maps each served (pair,
+    spin) to its configurations and its picked CIState; build_context
+    fills it, and nothing is filled in later.  config.state is only the
+    state the context was configured with.
     """
 
     config: RunConfig
-    basis: BSplineBasis
     orbitals: RadialOrbitalSet
     slater: SlaterIntegralTable
-    targets: dict[int, list[tuple[int, int]]]
-    unsolved: dict[int, tuple[ConfigList, np.ndarray]] | None = None
-    solved: dict[tuple[tuple[int, int], int], tuple[ConfigList, CIState]] = \
-        field(default_factory=dict)
-
-    def state(self, pair: tuple[int, int], spin: int
-              ) -> tuple[ConfigList, CIState]:
-        if pair not in self.targets.get(spin, ()):
-            raise InvalidParameterError(
-                f"this context serves no {pair[0]}s{pair[1]}s S = {spin} "
-                f"state inside its n_max = {self.config.n_max} basis")
-        if self.unsolved is None:
-            lists = [build_config_list(self.config.l_max, self.config.n_max,
-                                       s) for s in sorted(self.targets)]
-            Hs = assemble_hamiltonian(lists, self.orbitals, self.slater)
-            self.unsolved = {c.S: (c, H) for c, H in zip(lists, Hs)}
-        if spin in self.unsolved:
-            cfgs, H = self.unsolved[spin]
-            pairs = self.targets[spin]
-            states = lowest_states(H, cfgs, pairs)
-            del self.unsolved[spin]
-            self.solved.update(((p, spin), (cfgs, st))
-                               for p, st in zip(pairs, states))
-        return self.solved[pair, spin]
+    states: dict[tuple[tuple[int, int], int], tuple[ConfigList, CIState]]
 
 
 def build_context(config: RunConfig,
                   states=("ground", "1s2s-1S", "1s2s-3S")) -> PipelineContext:
-    """Basis, orbitals and R^k table for config, to serve the given states.
+    """Basis, orbitals and R^k table for config, and every given state.
 
     The states are parsed before any orbital solve, so a malformed one is
-    an InvalidParameterError here.  A state outside the n_max basis is
-    left out of targets, so it costs no assembly or root, and raises at
-    its own request.
+    an InvalidParameterError here.  One assemble_hamiltonian call builds
+    H for every spin the states inside the n_max basis need, so each R^k
+    block is computed once per charge.  One lowest_states call per spin
+    then picks all of that spin's states, and its H is dropped before the
+    next spin is solved.  A state outside the basis costs no assembly or
+    root, and the context does not serve it.
     """
     config.validate()
     res = config.resolve()
@@ -247,13 +223,20 @@ def build_context(config: RunConfig,
                        grid=res.grid, gamma=res.gamma)
     basis = BSplineBasis(knots, quad_order=res.quad_points)
     orbitals = build_orbital_set(basis, res.z, res.n_max, res.l_max)
-    return PipelineContext(
-        config=res,
-        basis=basis,
-        orbitals=orbitals,
-        slater=SlaterIntegralTable(orbitals),
-        targets=targets,
-    )
+    slater = SlaterIntegralTable(orbitals)
+    served = {}
+    if targets:
+        lists = [build_config_list(res.l_max, res.n_max, s)
+                 for s in sorted(targets)]
+        Hs = assemble_hamiltonian(lists, orbitals, slater)
+        for cfgs in lists:
+            pairs = targets[cfgs.S]
+            # popped, so this spin's H is freed when its solve returns
+            picks = lowest_states(Hs.pop(0), cfgs, pairs)
+            served.update(((p, cfgs.S), (cfgs, st))
+                          for p, st in zip(pairs, picks))
+    return PipelineContext(config=res, orbitals=orbitals, slater=slater,
+                           states=served)
 
 
 @dataclass
@@ -279,7 +262,11 @@ class StateReport:
 
 def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
     pair, spin = parse_state(state_text)
-    cfgs, state = ctx.state(pair, spin)
+    if (pair, spin) not in ctx.states:
+        raise InvalidParameterError(
+            f"this context serves no {pair[0]}s{pair[1]}s S = {spin} "
+            f"state inside its n_max = {ctx.config.n_max} basis")
+    cfgs, state = ctx.states[pair, spin]
     rdm = state_spectrum(state, cfgs)
     s_l = linear_entropy(rdm)
     s_vn = von_neumann_entropy(rdm)
@@ -357,7 +344,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
             f"and n_max >= {pair[1]}, the target's n2")
     big = replace(config, l_max=min(l_values[-1], n_cuts[-1] - 1),
                   n_max=n_cuts[-1])
-    ctx = build_context(big, (config.state,))
+    ctx = build_context(big, ())   # its orbitals and R^k table only
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
     ls = np.array([c.l for c in cfgs])
@@ -488,6 +475,8 @@ def run_zscan(config: RunConfig | None = None, charges=None,
                 ))
             except SCAN_ERRORS as exc:
                 failures.append((z, s, f"{type(exc).__name__}: {exc}"))
+        # the next build solves its states: free this charge's samples first
+        del ctx
     rows.sort(key=lambda r: (r.z, r.state))
     return ZScanResult(config=base.resolve(), states=states,
                        rows=rows, failures=failures)

@@ -132,7 +132,7 @@ def check_lowest_roots() -> float:
         full = diagonalize(H)
         part = davidson(H, 2)
         held = np.sort(full.eigenvectors[:, :3] ** 2, axis=0)[-START_BLOCK:]
-        if part.ritz_error is None or held.sum(axis=0).max() >= 1 - 1e-8:
+        if part.complete or held.sum(axis=0).max() >= 1 - 1e-8:
             return math.inf
         overlap = np.abs(np.sum(full.eigenvectors[:, :3] * part.eigenvectors,
                                 axis=0))

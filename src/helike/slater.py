@@ -31,7 +31,7 @@ SYMMETRIZE_TILE = 256
 
 
 class SlaterIntegralTable:
-    """Slater integrals for one orbital set; caches its orbital samples."""
+    """Slater integrals for one orbital set; holds its orbital samples."""
 
     def __init__(self, orbital_set: RadialOrbitalSet):
         self.orbitals = orbital_set
@@ -50,21 +50,14 @@ class SlaterIntegralTable:
         nodes = edges[:, :2, None] + half * (x + 1.0)
         self.sub_r = nodes.reshape(len(r), -1)
         self.sub_w = (half * gw).reshape(len(r), -1)
-        # orbital values on the main grid and the sub-cell nodes, every l
-        # at the first use
-        self._vals: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _samples(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """chi_nl for one l on the main grid, shape (n_orb, n_points), and
-        on the sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS); the
-        first call samples every l in one values_at call."""
-        if not self._vals:
-            nq = len(self.r)
-            points = np.concatenate((self.r, self.sub_r.ravel()))
-            self._vals = {
-                lv: (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
-                for lv, v in self.orbitals.values_at(points).items()}
-        return self._vals[l]
+        # chi_nl of every l on the main grid, (n_orb, n_points), and on the
+        # sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS), sampled in
+        # one values_at call
+        nq = len(r)
+        points = np.concatenate((r, self.sub_r.ravel()))
+        self._samples = {
+            l: (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
+            for l, v in orbital_set.values_at(points).items()}
 
     def _kernel(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of r_<^k / r_>^{k+1} for each outer point r_q.
@@ -86,8 +79,8 @@ class SlaterIntegralTable:
     def peak_bytes(self, l_max: int) -> int:
         """Most that folded_block holds at once for l <= l_max, in bytes.
 
-        The orbital samples it caches for every l, plus the larger of its
-        two phases at l = 0, which has the most orbitals: the rank sum W
+        The orbital samples the table holds for every l, plus the larger of
+        its two phases at l = 0, which has the most orbitals: the rank sum W
         beside one rank_block call (its V, the pair product or the
         own-cell part, and the kernel matrix K); then W, U and the block
         with one symmetrization tile.
@@ -106,8 +99,8 @@ class SlaterIntegralTable:
         V = int_0^R r_<^k / r_>^{k+1} chi_b chi_d dr,  r_< = min(r, r_q)
         """
         K, sub = self._kernel(k)
-        Xb, Sb = self._samples(la)
-        Xd, Sd = self._samples(lc)
+        Xb, Sb = self._samples[la]
+        Xd, Sd = self._samples[lc]
         nq = len(self.r)
         V = (np.einsum("bq,dq->bdq", Xb, Xd).reshape(-1, nq) @ K
              ).reshape(len(Xb), len(Xd), nq)
@@ -133,7 +126,7 @@ class SlaterIntegralTable:
         W = self.rank_block(k, la, lc) * ck
         for k, ck in rest:
             W += ck * self.rank_block(k, la, lc)
-        Xa, Xc = self._samples(la)[0], self._samples(lc)[0]
+        Xa, Xc = self._samples[la][0], self._samples[lc][0]
         na, nc = Xa.shape[0], Xc.shape[0]
         U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
         M = U @ W.reshape(na * nc, -1).T

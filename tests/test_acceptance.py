@@ -64,7 +64,8 @@ def test_01_helium_energy_levels(helium_standard):
 
 
 def test_02_ground_entropies_matched_truncation():
-    ctx = build_context(RunConfig(z=2.0, l_max=3, n_max=20, r_max=60.0))
+    ctx = build_context(RunConfig(z=2.0, l_max=3, n_max=20, r_max=60.0),
+                        ("ground",))
     report = solve_in_context(ctx, "ground")
     assert abs(report.s_linear - 0.0160678) <= 5e-4
     assert abs(report.s_von_neumann - 0.0853071) <= 1e-3
@@ -90,7 +91,7 @@ def test_04_helium_like_ions():
     assert abs(ground.energy - (-7.27974)) <= 2e-3
     assert abs(singlet.s_linear - 0.493031) <= 5e-4
     assert abs(triplet.s_von_neumann - 1.003424) <= 1e-3
-    ctx4 = build_context(RunConfig(z=4.0, l_max=4, n_max=30))
+    ctx4 = build_context(RunConfig(z=4.0, l_max=4, n_max=30), ("1s2s-1S",))
     be = solve_in_context(ctx4, "1s2s-1S")
     assert abs(be.s_linear - 0.495638) <= 5e-4
 

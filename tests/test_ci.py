@@ -116,18 +116,22 @@ def test_memory_budget(toy):
 
 def test_memory_estimate_covers_traced_peak():
     # real assemblies: a budget one byte below the traced peak must fail.
-    # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed
+    # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed.
+    # The table samples its orbitals when it is built, so its build is
+    # traced too
     for l_max, n_max, spins in ((0, 40, (0,)), (2, 25, (0, 1))):
-        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max))
+        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max),
+                            states=())
         lists = [build_config_list(l_max, n_max, S) for S in spins]
         tracemalloc.start()
         try:
-            assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+            slater = SlaterIntegralTable(ctx.orbitals)
+            assemble_hamiltonian(lists, ctx.orbitals, slater)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         with pytest.raises(MemoryError):
-            assemble_hamiltonian(lists, ctx.orbitals, ctx.slater,
+            assemble_hamiltonian(lists, ctx.orbitals, slater,
                                  memory_budget=peak - 1)
 
 
@@ -141,7 +145,7 @@ def test_both_spins_in_one_call_match_single_spin(toy):
         assert_allclose(H, hamiltonian_msum(configs, orbitals, slater),
                         atol=1e-12)
     for z in (1.0, 2.0):
-        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS))
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), states=())
         lists = [build_config_list(2, 15, S) for S in (0, 1)]
         both = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
         for configs, H in zip(lists, both):
@@ -207,8 +211,8 @@ def test_select_state_energy_rank_fallback(toy):
         # the rank rule covers 1sns targets only
         other = select_state(spec, configs, (2, 3))
         assert other.ambiguous and other.selection == "overlap"
-    # two computed roots leave rest = 0.4 < 0.5, which proves the energy
-    # order, but the 1s3s 1S rank 2 is not among them: undecided
+    # two computed roots weigh 0.3 each on 1s3s: no computed weight clears
+    # 1/2 plus the margin, so the partial spectrum leaves the pick undecided
     configs = build_config_list(1, 3, 0)
     vecs = np.zeros((len(configs), 2))
     vecs[configs.index(1, 3, 0)] = np.sqrt(0.3)
@@ -245,7 +249,7 @@ def test_partial_spectrum_pick_is_proven_or_deferred(toy):
         for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
             _truncation_verdicts(spec, configs, pair)
     for z in (1.0, 2.0):
-        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS))
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), states=())
         for S in (0, 1):
             configs = build_config_list(2, 15, S)
             spec = diagonalize(*assemble_hamiltonian([configs], ctx.orbitals,
@@ -264,14 +268,11 @@ def test_partial_spectrum_pick_is_proven_or_deferred(toy):
 def test_iterative_spectrum_defers_what_it_cannot_prove():
     configs = build_config_list(1, 3, 0)
     # three roots each with 1s2s weight 0.3: no computed weight passes 0.5,
-    # so the energy-order pick waits for the full spectrum, from eigh or
-    # from Davidson alike
+    # so the energy-order pick waits for the full spectrum
     vecs = np.zeros((len(configs), 3))
     vecs[configs.index(1, 2, 0)] = np.sqrt(0.3)
     assert select_state(Spectrum(np.arange(3.0), vecs), configs,
                         (1, 2)) is None
-    iterative = Spectrum(np.arange(3.0), vecs, ritz_error=0.0)
-    assert select_state(iterative, configs, (1, 2)) is None
     # an overlap pick (weight 0.9, runner-up 0.05, rest 0.05) keeps the
     # certificate while 2 ritz_error leaves room below |0.9 - 0.5|
     vecs[configs.index(1, 2, 0)] = np.sqrt([0.9, 0.05, 0.0])
@@ -311,7 +312,7 @@ def test_davidson_matches_eigh(toy):
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
     cases = [(H, 2) for H in assemble_hamiltonian(lists, orbitals, slater)]
     for z in (1.0, 2.0):
-        ctx = build_context(RunConfig(z=z, l_max=3, n_max=25))
+        ctx = build_context(RunConfig(z=z, l_max=3, n_max=25), states=())
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
         Hs = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
         # lowest_states' first rungs, roots 0..n2 - S for the ground and
@@ -321,7 +322,7 @@ def test_davidson_matches_eigh(toy):
                   for top in tops]
     for H, top in cases:
         spec = davidson(H, top)
-        assert spec.ritz_error is not None   # converged, no fallback
+        assert not spec.complete   # converged, no fallback
         eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=(0, top))
         cols = np.arange(top + 1)
         eigvec *= np.sign(eigvec[np.argmax(np.abs(eigvec), axis=0), cols])
@@ -335,7 +336,7 @@ def test_davidson_matches_eigh(toy):
 def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
     # a matrix wider than davidson's start subspace, which would otherwise
     # hold every root exactly after one Rayleigh-Ritz step
-    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), states=())
     (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
                                 ctx.slater)
     assert len(H) > ci.START_BLOCK
@@ -346,7 +347,7 @@ def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
                         lambda a: calls.append(a.shape) or eigh(a))
     got = davidson(H, 2)
     steps = [shape for shape in calls if shape != H.shape]
-    assert len(steps) == 1 and got.ritz_error is None   # one Rayleigh-Ritz
+    assert len(steps) == 1 and got.complete   # one Rayleigh-Ritz
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
@@ -355,7 +356,7 @@ def test_diagonalize_rejects_asymmetric_hamiltonian():
     # davidson forms H V as (V^T H)^T, which equals H V only when H is
     # exactly symmetric: one ulp off must fail on the eigh and the
     # Davidson route alike, before either solves
-    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS))
+    ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), states=())
     (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
                                 ctx.slater)
     assert len(H) >= ci.DAVIDSON_MIN_DIM
@@ -373,7 +374,7 @@ def test_davidson_on_leading_view_copies_nothing():
     davidson must solve such a view as it solves its contiguous copy, and
     its products must read the view in place: a copy alone is 8 m^2 bytes.
     """
-    ctx = build_context(RunConfig(z=2.0, l_max=4, n_max=30))
+    ctx = build_context(RunConfig(z=2.0, l_max=4, n_max=30), states=())
     (H,) = assemble_hamiltonian([build_config_list(4, 30, 0)], ctx.orbitals,
                                 ctx.slater)
     m = len(build_config_list(2, 30, 0))   # the l <= 2 rows lead
@@ -387,7 +388,7 @@ def test_davidson_on_leading_view_copies_nothing():
         tracemalloc.stop()
     assert peak < 8 * m * m / 4
     want = davidson(np.ascontiguousarray(view), 1)
-    assert got.ritz_error is not None and want.ritz_error is not None
+    assert not got.complete and not want.complete
     assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
     assert_allclose(got.eigenvectors, want.eigenvectors, rtol=0, atol=1e-12)
 

@@ -227,43 +227,48 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
     """solve_in_context and run_convergence agree with full-eigh solves.
 
     With DAVIDSON_MIN_DIM past every dimension each solve is the full eigh.
-    A context diagonalizes each spin at that spin's first request: the
-    singlet at ground, the triplet at 1s2s-3S.
+    build_context solves each spin in one lowest_states call: the singlet
+    for ground and 1s2s 1S, then the triplet.
     """
-    calls = []
-    diagonalize = pipeline.diagonalize
+    solves = []   # per lowest_states call, its diagonalize calls
+    diagonalize, lowest = pipeline.diagonalize, pipeline.lowest_states
 
     def recording(H, top=None):
         spectrum = diagonalize(H, top)
-        calls.append((top, spectrum))
+        solves[-1].append((top, spectrum))
         return spectrum
 
+    def per_spin(H, configs, pairs):
+        solves.append([])
+        return lowest(H, configs, pairs)
+
     monkeypatch.setattr(pipeline, "diagonalize", recording)
+    monkeypatch.setattr(pipeline, "lowest_states", per_spin)
 
     def outcomes():
-        out, solves = {}, {}
+        out, contexts = {}, {}
         for z in (1.0, 2.0):
             for base in ({"l_max": 3, "n_max": 25}, SCAN_DEFAULTS):
+                solves.clear()
                 ctx = build_context(RunConfig(z=z, **base))
+                contexts[z, base["n_max"]] = list(solves)
                 for state in ("ground", "1s2s-1S", "1s2s-3S"):
-                    calls.clear()
                     r = solve_in_context(ctx, state)
-                    key = (z, base["n_max"], state)
-                    out[key] = (r.energy, r.s_linear, r.s_von_neumann,
-                                r.selection, r.ambiguous)
-                    solves[key] = list(calls)
+                    out[z, base["n_max"], state] = (
+                        r.energy, r.s_linear, r.s_von_neumann, r.selection,
+                        r.ambiguous)
             for state in ("1s2s-1S", "1s2s-3S"):
                 table = run_convergence(RunConfig(z=z, state=state),
                                         [2, 3], [15, 25])
                 out[z, state] = [(r.l_max, r.n_max, r.energy, r.s_linear,
                                   r.s_von_neumann) for r in table.rows]
-        return out, solves
+        return out, contexts
 
-    lowest, solves = outcomes()
+    lowest_roots, contexts = outcomes()
     monkeypatch.setattr(ci, "DAVIDSON_MIN_DIM", 10**6)
     full, _ = outcomes()
-    assert lowest.keys() == full.keys()
-    for key, got in lowest.items():
+    assert lowest_roots.keys() == full.keys()
+    for key, got in lowest_roots.items():
         want = full[key]
         if isinstance(got, list):   # convergence cells
             assert [g[:2] for g in got] == [w[:2] for w in want]
@@ -276,14 +281,13 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
     # for the singlet's ground and 1s2s 1S, 0..1 for the triplet.  At
     # Z = 1 it cannot prove the 1s2s picks, and each spin adds one
     # complete eigh
-    states = ("ground", "1s2s-1S", "1s2s-3S")
     for z, eigh in ((2.0, []), (1.0, [None])):
-        assert [[top for top, _ in solves[z, 25, s]] for s in states] == \
-            [[2] + eigh, [], [1] + eigh]
+        assert [[top for top, _ in spin] for spin in contexts[z, 25]] == \
+            [[2] + eigh, [1] + eigh]
     # at Z = 2 one converged Davidson solve per spin proves every pick;
-    # davidson's own eigh fallback would leave ritz_error None
-    assert all(spectrum.ritz_error is not None
-               for s in states for _, spectrum in solves[2.0, 25, s])
+    # davidson's own eigh fallback would return a complete spectrum
+    assert not any(spectrum.complete
+                   for spin in contexts[2.0, 25] for _, spectrum in spin)
 
 
 def test_run_zscan_rows_and_failures(monkeypatch):
@@ -369,8 +373,9 @@ def test_context_serves_its_states(monkeypatch):
     """One lowest_states call per spin, no H kept, only the given states.
 
     Equal states share the solve, a state the context does not serve
-    raises at its own request, a failed solve keeps H for the next
-    request, and a malformed state fails before any orbital solve.
+    raises at its own request, a context serving no state assembles and
+    solves nothing, a failed solve fails the build and keeps no H, and a
+    malformed state fails before any orbital solve.
     """
     Hs, solves = [], []
     assemble, lowest = pipeline.assemble_hamiltonian, pipeline.lowest_states
@@ -399,18 +404,17 @@ def test_context_serves_its_states(monkeypatch):
     for other in ("1s9s-3S", "1s2s-3S", "1s3s-1S"):
         with pytest.raises(InvalidParameterError):
             solve_in_context(ctx, other)
+    # the convergence table's context: orbitals and R^k table only
+    assert build_context(config, ()).states == {}
+    assert len(Hs) == 1 and len(solves) == 1
 
     def failing(H, configs, pairs):
         raise MemoryError("no room for the eigenvectors")
 
     monkeypatch.setattr(pipeline, "lowest_states", failing)
-    ctx = build_context(config, ["1s2s-3S"])
     with pytest.raises(MemoryError):
-        solve_in_context(ctx, "1s2s-3S")
-    assert len(Hs) == 2 and Hs[1]() is not None
-    monkeypatch.setattr(pipeline, "lowest_states", recording_lowest)
-    solve_in_context(ctx, "1s2s-3S")
-    assert solves[-1] == (1, [(1, 2)]) and Hs[1]() is None
+        build_context(config, ["1s2s-3S"])
+    assert len(Hs) == 2 and Hs[1]() is None
 
     def no_orbitals(*args):
         raise AssertionError("orbitals solved before the states were parsed")
