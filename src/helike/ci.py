@@ -204,8 +204,8 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                 f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
                 f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
                 block *= f_ab[:, None] * f_cd[None, :]
-                H[rows, cols] = block
                 if lc != la:
+                    H[rows, cols] = block
                     H[cols, rows] = block.T
                 else:
                     H[rows, cols] = 0.5 * (block + block.T)

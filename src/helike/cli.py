@@ -31,6 +31,25 @@ NUMERICAL_ERRORS = (
 )
 
 
+# each RunConfig key a command line can set: its flag and help text
+CONFIG_FLAGS = {
+    "z": ("--z", "nuclear charge"),
+    "state": ("--state", "state spec, e.g. 1s2-1S, 1s2s-3S, ground"),
+    "l_max": ("--lmax", "largest orbital angular momentum in the CI"),
+    "n_max": ("--nmax", "largest principal quantum number per l"),
+    "r_max": ("--rmax", "radial box size in a.u. (default: policy by Z)"),
+    "order": ("--order", "B-spline order k (default 7)"),
+}
+
+# the keys each verb reads: converge cuts at --lvalues/--nvalues, and
+# zscan solves --states at --charges
+VERB_KEYS = {
+    "solve": tuple(CONFIG_FLAGS),
+    "converge": ("z", "state", "r_max", "order"),
+    "zscan": ("l_max", "n_max", "r_max", "order"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="helike",
@@ -39,36 +58,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, choices=("csv", "json"), state=True, truncation=True):
+    def common(p, verb, choices=("csv", "json")):
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
-        p.add_argument("--z", type=float, default=None,
-                       help="nuclear charge")
-        if state:
-            p.add_argument("--state", default=None,
-                           help="state spec, e.g. 1s2-1S, 1s2s-3S, ground")
-        if truncation:
-            p.add_argument("--lmax", type=int, default=None,
-                           help="largest orbital angular momentum in the CI")
-            p.add_argument("--nmax", type=int, default=None,
-                           help="largest principal quantum number per l")
-        p.add_argument("--rmax", type=float, default=None,
-                       help="radial box size in a.u. (default: policy by Z)")
-        p.add_argument("--order", type=int, default=None,
-                       help="B-spline order k (default 7)")
+        for key in VERB_KEYS[verb]:
+            flag, text = CONFIG_FLAGS[key]
+            p.add_argument(flag, dest=key, type=formats.CONFIG_KEYS[key],
+                           default=None, help=text)
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
         p.add_argument("--format", dest="formats", action="append",
                        choices=choices, default=None,
                        help="output format; repeatable (default csv)")
 
-    p_solve = sub.add_parser("solve", help="solve one state")
-    common(p_solve)
+    common(sub.add_parser("solve", help="solve one state"), "solve")
 
     p_conv = sub.add_parser("converge",
                             help="entropy table over (l_max, n_max) cut-offs")
-    # the table's truncations are its axes, not --lmax/--nmax
-    common(p_conv, truncation=False)
+    common(p_conv, "converge")
     p_conv.add_argument("--lvalues", default="0,1,2,3",
                         help="comma-separated l_max column values")
     p_conv.add_argument("--nvalues", default="5,10,15,20,25",
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: --state must not pass for --states
     p_scan = sub.add_parser("zscan", allow_abbrev=False,
                             help="scan nuclear charge down to Z = 1")
-    common(p_scan, choices=("csv", "json", "svg"), state=False)
+    common(p_scan, "zscan", choices=("csv", "json", "svg"))
     p_scan.add_argument("--charges", default=None,
                         help="comma-separated Z list (default: built-in grid)")
     p_scan.add_argument("--states", default="1s2s-1S,1s2s-3S",
@@ -88,22 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args, defaults: dict | None = None) -> pipeline.RunConfig:
+    """The verb's defaults, then its config file, then its flags."""
     file_values = (formats.load_config_file(args.config)
                    if args.config else {})
-    overrides = dict(defaults or {})
-    for key, attr in (("z", "z"), ("state", "state"), ("l_max", "lmax"),
-                      ("n_max", "nmax"), ("r_max", "rmax"),
-                      ("order", "order")):
-        # a key whose flag the verb lacks would go unused: zscan solves
-        # --states, converge cuts at --lvalues/--nvalues
-        if key in file_values and not hasattr(args, attr):
+    keys = VERB_KEYS[args.verb]
+    for key in CONFIG_FLAGS:
+        # a key whose flag the verb lacks would go unused
+        if key in file_values and key not in keys:
             raise InvalidParameterError(
                 f"config key {key!r} does not apply to {args.verb}, "
-                f"which takes no --{attr}")
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return formats.config_from_sources(file_values, overrides)
+                f"which takes no {CONFIG_FLAGS[key][0]}")
+    flags = {key: getattr(args, key) for key in keys
+             if getattr(args, key) is not None}
+    return pipeline.RunConfig(**{**(defaults or {}), **file_values, **flags})
 
 
 def _parse_list(text: str, kind: type) -> list:
@@ -163,7 +167,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_zscan(args) -> int:
-    config = _run_config(args, defaults=dict(pipeline.SCAN_DEFAULTS))
+    config = _run_config(args, pipeline.SCAN_DEFAULTS)
     charges = (None if args.charges is None
                else _parse_list(args.charges, float))
     states = [s.strip() for s in args.states.split(",") if s.strip()]

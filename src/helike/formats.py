@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,11 @@ FLOAT_FMT = "%.12g"
 
 # -- flat config files --------------------------------------------------------
 
+# RunConfig's fields, each typed by its annotation's non-None member
 CONFIG_KEYS = {
-    "z": float,
-    "state": str,
-    "l_max": int,
-    "n_max": int,
-    "order": int,
-    "n_splines": int,
-    "r_max": float,
-    "grid": str,
-    "gamma": float,
-    "quad_points": int,
+    name: next(t for t in typing.get_args(hint) or (hint,)
+               if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -66,19 +61,6 @@ def parse_config_text(text: str) -> dict:
 
 def load_config_file(path) -> dict:
     return parse_config_text(Path(path).read_text())
-
-
-def config_from_sources(file_values: dict | None = None,
-                        overrides: dict | None = None) -> RunConfig:
-    """RunConfig from a config file plus CLI overrides (overrides win)."""
-    merged = dict(file_values or {})
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    unknown = set(merged) - set(CONFIG_KEYS)
-    if unknown:
-        raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged)
 
 
 # -- generic emitters ---------------------------------------------------------

@@ -400,13 +400,14 @@ class ZScanRow:
     s_linear: float
     s_von_neumann: float
     dominant_weight: float
-    r_max: float
+    r_max: float    # the box and its knot spacing follow Z, row by row
+    gamma: float
     selection: str
 
 
 @dataclass
 class ZScanResult:
-    config: RunConfig
+    config: RunConfig   # the base configuration, resolved at its own z
     states: list[str]
     rows: list[ZScanRow]
     failures: list[tuple[float, str, str]]   # (z, state, message)
@@ -471,6 +472,7 @@ def run_zscan(config: RunConfig | None = None, charges=None,
                     s_von_neumann=report.s_von_neumann,
                     dominant_weight=report.dominant_weight,
                     r_max=report.config.r_max,
+                    gamma=report.config.gamma,
                     selection=report.selection,
                 ))
             except SCAN_ERRORS as exc:

@@ -1,8 +1,10 @@
 """Command-line interface: verbs, outputs, exit codes."""
 import json
+from dataclasses import fields
 
-from helike.cli import main
-from helike.pipeline import default_gamma
+from helike import formats
+from helike.cli import CONFIG_FLAGS, _run_config, build_parser, main
+from helike.pipeline import SCAN_DEFAULTS, RunConfig, default_gamma
 
 from helpers import read_csv
 
@@ -44,6 +46,41 @@ def test_solve_config_file_with_override(tmp_path):
     assert rows[0]["n_max"] == 6
 
 
+def test_config_overrides_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("z = 2.0\nn_max = 20\n")
+    config = _run_config(build_parser().parse_args(
+        ["solve", "--config", str(path), "--z", "3"]))
+    assert config.z == 3.0          # CLI override wins
+    assert config.n_max == 20       # file value survives
+    assert config.state == RunConfig().state
+    # a file value beats the verb's default
+    path.write_text("l_max = 1\n")
+    config = _run_config(build_parser().parse_args(
+        ["zscan", "--config", str(path)]), SCAN_DEFAULTS)
+    assert (config.l_max, config.n_max) == (1, SCAN_DEFAULTS["n_max"])
+
+
+def test_config_keys_follow_run_config():
+    names = [f.name for f in fields(RunConfig)]
+    assert list(formats.CONFIG_KEYS) == names
+    assert set(CONFIG_FLAGS) <= set(names)
+    # each verb takes the flags of exactly the keys it reads
+    reads = {"solve": set(CONFIG_FLAGS),
+             "converge": {"z", "state", "r_max", "order"},
+             "zscan": {"l_max", "n_max", "r_max", "order"}}
+    parser = build_parser()
+    for verb, keys in reads.items():
+        for key, (flag, _) in CONFIG_FLAGS.items():
+            try:
+                args = parser.parse_args([verb, flag, "3"])
+            except SystemExit:
+                assert key not in keys, (verb, flag)
+            else:
+                assert key in keys, (verb, flag)
+                assert getattr(args, key) == formats.CONFIG_KEYS[key]("3")
+
+
 def test_converge_verb(tmp_path):
     code = run(["converge", "--z", "2", "--state", "ground",
                 "--lvalues", "0,1", "--nvalues", "6,8",
@@ -79,6 +116,26 @@ def test_zscan_verb_with_svg(tmp_path):
     assert "state" not in payload["config"]
     assert (tmp_path / "zscan_linear.svg").exists()
     assert (tmp_path / "zscan_von_neumann.svg").exists()
+
+
+def test_zscan_config_file_sets_truncation(tmp_path):
+    # the file beats the scan's default l_max = 2, n_max = 15
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("l_max = 1\nn_max = 6\n")
+    assert run(["zscan", "--config", str(cfg), "--charges", "2",
+                "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "zscan.csv")
+    assert [(r["l_max"], r["n_max"]) for r in rows] == [(1, 6), (1, 6)]
+
+
+def test_zscan_takes_no_charge_flag_or_key(tmp_path):
+    # the scan's charges come from --charges: a --z or z key would go unused
+    assert run(["zscan", "--z", "5", "--charges", "2",
+                "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("z = 3\n")
+    assert run(["zscan", "--config", str(cfg), "--charges", "2",
+                "--out", str(tmp_path)]) == 1
 
 
 def test_zscan_partial_failure_exit_code(tmp_path, capsys):

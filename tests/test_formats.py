@@ -6,9 +6,7 @@ import pytest
 
 from helike.errors import InvalidParameterError
 from helike.formats import (
-    config_from_sources,
     convergence_rows,
-    load_config_file,
     parse_config_text,
     scan_rows,
     solve_rows,
@@ -18,7 +16,7 @@ from helike.formats import (
     write_json,
     write_scan_svg,
 )
-from helike.pipeline import RunConfig, run_solve, run_zscan
+from helike.pipeline import RunConfig, default_gamma, run_solve, run_zscan
 
 from helpers import read_csv
 
@@ -43,16 +41,6 @@ def test_parse_config_errors():
         parse_config_text("just words")
     with pytest.raises(InvalidParameterError):
         parse_config_text("l_max = three")
-
-
-def test_config_overrides_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("z = 2.0\nn_max = 20\n")
-    config = config_from_sources(load_config_file(path),
-                                 {"z": 3.0, "state": None})
-    assert config.z == 3.0          # CLI override wins
-    assert config.n_max == 20       # file value survives
-    assert config.state == RunConfig().state
 
 
 def test_csv_round_trip(tmp_path):
@@ -115,6 +103,15 @@ def test_scan_rows_fields(scan):
     assert len(rows) == 4
     assert all(r["inv_z"] == 1.0 / r["z"] for r in rows)
     assert {r["state"] for r in rows} == {"1s2s-1S", "1s2s-3S"}
+
+
+def test_scan_rows_report_their_gamma(scan):
+    # neither r_max nor gamma is pinned, so each row's knots follow its own
+    # box: Z = 1.5 solves at r_max 80, gamma 6.288, not the Z = 2 gamma 6
+    rows = scan_rows(scan)
+    assert {r["r_max"] for r in rows} == {60.0, 80.0}
+    for row in rows:
+        assert row["gamma"] == default_gamma(row["r_max"])
 
 
 def test_convergence_rows():

@@ -326,9 +326,10 @@ def test_run_zscan_rows_and_failures(monkeypatch):
         report = solve_in_context(ctx, s)
         assert row.state == s
         assert (row.energy, row.s_linear, row.s_von_neumann,
-                row.dominant_weight, row.r_max, row.selection) == \
+                row.dominant_weight, row.r_max, row.gamma, row.selection) == \
             (report.energy, report.s_linear, report.s_von_neumann,
-             report.dominant_weight, report.config.r_max, report.selection)
+             report.dominant_weight, report.config.r_max,
+             report.config.gamma, report.selection)
 
 
 def test_zscan_out_of_basis_state_fails_alone():
