@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InconsistentInputError, InvalidParameterError
-from .orbitals import RadialOrbitalSet
 from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
 
 SPECTROSCOPIC = "spdfghiklmnoq"
@@ -149,22 +148,18 @@ MEMORY_BUDGET_BYTES = 4 << 30
 
 
 def assemble_hamiltonian(config_lists: Sequence[ConfigList],
-                         orbitals: RadialOrbitalSet,
                          slater: SlaterIntegralTable,
                          memory_budget: int = MEMORY_BUDGET_BYTES
                          ) -> list[np.ndarray]:
     """Dense symmetric CI Hamiltonians, one per configuration list.
 
     The lists (typically the singlet and the triplet one) must share l_max
-    and n_max.  Each folded block sum_k c_k R^k is computed once and feeds
-    every list: its direct and exchange gathers are taken per list with
-    that list's blocks() indices and (-1)^S sign, so each H is
-    bit-identical to its one-list assembly.
+    and n_max.  The one-body energies come from slater.orbitals, the set
+    the table was built on.  Each folded block sum_k c_k R^k is computed
+    once and feeds every list: its direct and exchange gathers are taken
+    per list with that list's blocks() indices and (-1)^S sign, so each H
+    is bit-identical to its one-list assembly.
     """
-    if orbitals is not slater.orbitals:
-        raise InconsistentInputError(
-            "slater table was built for a different orbital set"
-        )
     if len({(c.l_max, c.n_max) for c in config_lists}) != 1:
         raise InconsistentInputError(
             "need one or more configuration lists sharing l_max and n_max"
@@ -212,7 +207,7 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                 del block  # no gather outlives its list
             del G  # free before the next block is built
         # one-body part: diagonal in the CSF basis of orbital eigenstates
-        e = orbitals.orbitals(la).energies
+        e = slater.orbitals.orbitals(la).energies
         for H, b in zip(Hs, blocks):
             rows, A, B = b[la]
             idx = np.arange(rows.start, rows.stop)
@@ -387,7 +382,6 @@ class CIState:
 
     energy: float
     coefficients: np.ndarray
-    label: str
     S: int
     dominant: Configuration
     dominant_weight: float
@@ -437,11 +431,9 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
         best, selection = n2 - 1 - configs.S, "energy-order"
     vec = spectrum.eigenvectors[:, best].copy()
     dom = int(np.argmax(vec**2))
-    term = "1S" if configs.S == 0 else "3S"
     return CIState(
         energy=float(spectrum.eigenvalues[best]),
         coefficients=vec,
-        label=f"{target} {term}",
         S=configs.S,
         dominant=configs[dom],
         dominant_weight=float(vec[dom] ** 2),

@@ -28,7 +28,6 @@ from .angular import (
     wigner_3j,
 )
 from .ci import CIState, ConfigList
-from .orbitals import RadialOrbitalSet
 from .slater import SlaterIntegralTable
 
 
@@ -120,13 +119,14 @@ def _det_product_terms(det):
     return [(p, q, s), (q, p, -s)]
 
 
-def _product_h_element(bra, ket, orbitals: RadialOrbitalSet,
-                       slater: SlaterIntegralTable, blocks: dict) -> float:
+def _product_h_element(bra, ket, slater: SlaterIntegralTable,
+                       blocks: dict) -> float:
     """<u_a(1) u_b(2)| H |u_c(1) u_d(2)> for spin-orbital products."""
     (a, b), (c, d) = bra, ket
     val = 0.0
     # one-body: orbitals are eigenstates of h, diagonal in all labels
     if a == c and b == d:
+        orbitals = slater.orbitals
         val += (orbitals.energy(a[0], a[1]) + orbitals.energy(b[0], b[1]))
     # two-body: spin-diagonal per electron
     if a[3] == c[3] and b[3] == d[3]:
@@ -154,13 +154,14 @@ def csf_determinants(cfg, L, ML, S, MS):
     return out
 
 
-def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
-                     slater: SlaterIntegralTable, ML=0, MS=0) -> np.ndarray:
+def hamiltonian_msum(configs: ConfigList, slater: SlaterIntegralTable,
+                     ML=0, MS=0) -> np.ndarray:
     """L = 0 CI Hamiltonian from the raw Slater-determinant expansion.
 
-    Every CSF is expanded over determinants, every determinant over signed
-    spin-orbital products, and the operator is contracted term by term.
-    Each rank_block the radial integrals read is computed once per call.
+    The one-body energies come from slater.orbitals.  Every CSF is
+    expanded over determinants, every determinant over signed spin-orbital
+    products, and the operator is contracted term by term.  Each
+    rank_block the radial integrals read is computed once per call.
     O(everything); for toy bases only.
     """
     expansions = [
@@ -179,7 +180,7 @@ def hamiltonian_msum(configs: ConfigList, orbitals: RadialOrbitalSet,
                         for ket_p, ket_q, sk in _det_product_terms(det_j):
                             acc += ci * cj * sb * sk * _product_h_element(
                                 (bra_p, bra_q), (ket_p, ket_q),
-                                orbitals, slater, blocks,
+                                slater, blocks,
                             )
             H[i, j] = H[j, i] = acc
     return H

@@ -89,7 +89,9 @@ def _jsonable(obj):
         out = {f.name: _jsonable(getattr(obj, f.name))
                for f in dataclasses.fields(obj)}
         if isinstance(obj, ZScanResult):
-            del out["config"]["state"]   # a scan solves .states instead
+            # a scan solves .states instead, and each row has its own box
+            for key in ("state", "z", "r_max", "gamma"):
+                del out["config"][key]
         return out
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -168,10 +170,10 @@ SVG_MARGIN = 60
 SERIES_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
+    raw = np.linspace(lo, hi, 5)
     return [float(v) for v in raw]
 
 
@@ -259,8 +261,8 @@ def svg_line_plot(series: list[tuple[str, np.ndarray, np.ndarray]],
     return "\n".join(parts)
 
 
-def write_scan_svg(path, result: ZScanResult, quantity: str = "s_linear",
-                   title: str | None = None) -> None:
+def write_scan_svg(path, result: ZScanResult,
+                   quantity: str = "s_linear") -> None:
     """Entropy-vs-1/Z plot for every scanned state with rows, 0.5/1.0 guides."""
     if quantity not in ("s_linear", "s_von_neumann"):
         raise InvalidParameterError(f"cannot plot {quantity!r}")
@@ -272,6 +274,6 @@ def write_scan_svg(path, result: ZScanResult, quantity: str = "s_linear",
         y = s_l if quantity == "s_linear" else s_vn
         series.append((state, inv_z, y))
     name = "linear entropy" if quantity == "s_linear" else "von Neumann entropy"
-    doc = svg_line_plot(series, title or name, "1/Z", name,
+    doc = svg_line_plot(series, name, "1/Z", name,
                         reference_lines=(0.5, 1.0))
     Path(path).write_text(doc + "\n")

@@ -186,7 +186,7 @@ def lowest_states(H: np.ndarray, configs: ConfigList,
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """One basis at one charge: orbitals, R^k table and the states it serves.
+    """One basis at one charge: its orbitals and the states it serves.
 
     Every state solved at this charge shares it, so a Z-scan solves its
     1s2s 1S and 3S terms in one basis.  states maps each served (pair,
@@ -197,21 +197,21 @@ class PipelineContext:
 
     config: RunConfig
     orbitals: RadialOrbitalSet
-    slater: SlaterIntegralTable
     states: dict[tuple[tuple[int, int], int], tuple[ConfigList, CIState]]
 
 
 def build_context(config: RunConfig,
                   states=("ground", "1s2s-1S", "1s2s-3S")) -> PipelineContext:
-    """Basis, orbitals and R^k table for config, and every given state.
+    """Basis and orbitals for config, and every given state solved in them.
 
     The states are parsed before any orbital solve, so a malformed one is
     an InvalidParameterError here.  One assemble_hamiltonian call builds
     H for every spin the states inside the n_max basis need, so each R^k
-    block is computed once per charge.  One lowest_states call per spin
-    then picks all of that spin's states, and its H is dropped before the
-    next spin is solved.  A state outside the basis costs no assembly or
-    root, and the context does not serve it.
+    block is computed once per charge; its R^k table and orbital samples
+    go when the assembly returns.  One lowest_states call per spin then
+    picks all of that spin's states, and its H is dropped before the next
+    spin is solved.  A state outside the basis costs no table, assembly
+    or root, and the context does not serve it.
     """
     config.validate()
     res = config.resolve()
@@ -223,20 +223,18 @@ def build_context(config: RunConfig,
                        grid=res.grid, gamma=res.gamma)
     basis = BSplineBasis(knots, quad_order=res.quad_points)
     orbitals = build_orbital_set(basis, res.z, res.n_max, res.l_max)
-    slater = SlaterIntegralTable(orbitals)
     served = {}
     if targets:
         lists = [build_config_list(res.l_max, res.n_max, s)
                  for s in sorted(targets)]
-        Hs = assemble_hamiltonian(lists, orbitals, slater)
+        Hs = assemble_hamiltonian(lists, SlaterIntegralTable(orbitals))
         for cfgs in lists:
             pairs = targets[cfgs.S]
             # popped, so this spin's H is freed when its solve returns
             picks = lowest_states(Hs.pop(0), cfgs, pairs)
             served.update(((p, cfgs.S), (cfgs, st))
                           for p, st in zip(pairs, picks))
-    return PipelineContext(config=res, orbitals=orbitals, slater=slater,
-                           states=served)
+    return PipelineContext(config=res, orbitals=orbitals, states=served)
 
 
 @dataclass
@@ -344,9 +342,9 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
             f"and n_max >= {pair[1]}, the target's n2")
     big = replace(config, l_max=min(l_values[-1], n_cuts[-1] - 1),
                   n_max=n_cuts[-1])
-    ctx = build_context(big, ())   # its orbitals and R^k table only
+    ctx = build_context(big, ())   # its orbitals only
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
-    (H,) = assemble_hamiltonian([cfgs], ctx.orbitals, ctx.slater)
+    (H,) = assemble_hamiltonian([cfgs], SlaterIntegralTable(ctx.orbitals))
     ls = np.array([c.l for c in cfgs])
     n2s = np.array([c.n2 for c in cfgs])
     flat, Hn = H.reshape(-1), H
@@ -477,8 +475,6 @@ def run_zscan(config: RunConfig | None = None, charges=None,
                 ))
             except SCAN_ERRORS as exc:
                 failures.append((z, s, f"{type(exc).__name__}: {exc}"))
-        # the next build solves its states: free this charge's samples first
-        del ctx
     rows.sort(key=lambda r: (r.z, r.state))
     return ZScanResult(config=base.resolve(), states=states,
                        rows=rows, failures=failures)

@@ -31,9 +31,7 @@ from .slater import SlaterIntegralTable
 
 def _toy_context(Z=2.0, l_max=1, n_max=3):
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    orbitals = build_orbital_set(basis, Z, n_max, l_max)
-    slater = SlaterIntegralTable(orbitals)
-    return orbitals, slater
+    return SlaterIntegralTable(build_orbital_set(basis, Z, n_max, l_max))
 
 
 def check_hydrogenic_energies() -> float:
@@ -90,32 +88,32 @@ def check_coupling_coefficients(l_cut=4, k_cut=8) -> float:
     return worst
 
 
-def _toy_hamiltonians(orbitals, slater, n_max=3):
+def _toy_hamiltonians(slater, n_max=3):
     """Singlet and triplet toy lists with their H, assembled in one call."""
     lists = [build_config_list(1, n_max, S) for S in (0, 1)]
-    return zip(lists, assemble_hamiltonian(lists, orbitals, slater))
+    return zip(lists, assemble_hamiltonian(lists, slater))
 
 
 def check_toy_hamiltonian() -> float:
     """Both spins' CI Hamiltonians, built in one call, vs determinants."""
-    orbitals, slater = _toy_context()
+    slater = _toy_context()
     worst = 0.0
-    for configs, fast in _toy_hamiltonians(orbitals, slater):
-        slow = hamiltonian_msum(configs, orbitals, slater)
+    for configs, fast in _toy_hamiltonians(slater):
+        slow = hamiltonian_msum(configs, slater)
         worst = max(worst, float(np.abs(fast - slow).max()))
     return worst
 
 
 def _toy_states():
     out = []
-    for configs, H in _toy_hamiltonians(*_toy_context()):
+    for configs, H in _toy_hamiltonians(_toy_context()):
         spec = diagonalize(H)
         for idx in range(min(3, len(configs))):
             vec = spec.eigenvectors[:, idx]
             out.append((CIState(
                 energy=float(spec.eigenvalues[idx]), coefficients=vec,
-                label=f"toy{idx}", S=configs.S, dominant=configs[0],
-                dominant_weight=0.0), configs))
+                S=configs.S, dominant=configs[0], dominant_weight=0.0),
+                configs))
     return out
 
 
@@ -128,7 +126,7 @@ def check_lowest_roots() -> float:
     the check.  Worst eigenvalue difference and worst 1 - |overlap|.
     """
     worst = 0.0
-    for _, H in _toy_hamiltonians(*_toy_context(n_max=8), n_max=8):
+    for _, H in _toy_hamiltonians(_toy_context(n_max=8), n_max=8):
         full = diagonalize(H)
         part = davidson(H, 2)
         held = np.sort(full.eigenvectors[:, :3] ** 2, axis=0)[-START_BLOCK:]

@@ -26,8 +26,7 @@ from helike.slater import SUBCELL_POINTS, SlaterIntegralTable
 @pytest.fixture(scope="module")
 def toy():
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    orbitals = build_orbital_set(basis, 2.0, 3, 1)
-    return orbitals, SlaterIntegralTable(orbitals)
+    return SlaterIntegralTable(build_orbital_set(basis, 2.0, 3, 1))
 
 
 def test_reference_config_counts():
@@ -56,23 +55,21 @@ def test_hamiltonian_vs_determinant_expansion(toy):
     # la = lc = 2 block folds ranks 0, 2 and 4 into one sum, and n_max = 4
     # adds the 3d4d triplet, whose exchange term enters with the minus sign
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    d_orbitals = build_orbital_set(basis, 2.0, 3, 2)
-    d_toy = (d_orbitals, SlaterIntegralTable(d_orbitals))
-    d4_orbitals = build_orbital_set(basis, 2.0, 4, 2)
-    d4_toy = (d4_orbitals, SlaterIntegralTable(d4_orbitals))
-    for (orbitals, slater), l_max, n_max in ((toy, 1, 3), (d_toy, 2, 3),
-                                             (d4_toy, 2, 4)):
+    d_toy = SlaterIntegralTable(build_orbital_set(basis, 2.0, 3, 2))
+    d4_toy = SlaterIntegralTable(build_orbital_set(basis, 2.0, 4, 2))
+    for slater, l_max, n_max in ((toy, 1, 3), (d_toy, 2, 3),
+                                 (d4_toy, 2, 4)):
         for S in (0, 1):
             configs = build_config_list(l_max, n_max, S)
-            (fast,) = assemble_hamiltonian([configs], orbitals, slater)
-            slow = hamiltonian_msum(configs, orbitals, slater)
+            (fast,) = assemble_hamiltonian([configs], slater)
+            slow = hamiltonian_msum(configs, slater)
             assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_hamiltonian_symmetric_and_variational(toy):
-    orbitals, slater = toy
+    slater = toy
     configs = build_config_list(1, 3, 0)
-    (H,) = assemble_hamiltonian([configs], orbitals, slater)
+    (H,) = assemble_hamiltonian([configs], slater)
     assert np.array_equal(H, H.T)
     spec = diagonalize(H)
     assert spec.complete and np.all(np.diff(spec.eigenvalues) >= 0)
@@ -85,15 +82,15 @@ def test_hamiltonian_symmetric_and_variational(toy):
 
 
 def test_memory_budget(toy):
-    orbitals, slater = toy
+    slater = toy
     configs = build_config_list(1, 3, 0)
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs], orbitals, slater, memory_budget=8)
+        assemble_hamiltonian([configs], slater, memory_budget=8)
     # room for H but not for H plus the largest R^k block
-    n_orb = orbitals.orbitals(0).n_orbitals
+    n_orb = slater.orbitals.orbitals(0).n_orbitals
     budget = 8 * len(configs) ** 2 + 8 * n_orb**4 - 1
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs], orbitals, slater,
+        assemble_hamiltonian([configs], slater,
                              memory_budget=budget)
     # room for the singlet build alone, but not for singlet plus triplet;
     # the R^k working set counts too: orbital samples on the main and both
@@ -102,16 +99,16 @@ def test_memory_budget(toy):
     # the Q x Q K; then the rank sum, U, the block and its tile
     n_cfg = configs.blocks()[0][0].stop
     nq = len(slater.r)
-    n_samples = n_orb + orbitals.orbitals(1).n_orbitals
+    n_samples = n_orb + slater.orbitals.orbitals(1).n_orbitals
     pairs = n_orb**2 * nq
     rk = ((1 + 2 * SUBCELL_POINTS) * nq * n_samples
           + max(3 * pairs + nq**2, 2 * pairs + 2 * n_orb**4))
     alone = 8 * (len(configs) ** 2 + rk + 3 * n_cfg**2)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs, triplets], orbitals, slater,
+        assemble_hamiltonian([configs, triplets], slater,
                              memory_budget=alone)
-    assemble_hamiltonian([configs], orbitals, slater, memory_budget=alone)
+    assemble_hamiltonian([configs], slater, memory_budget=alone)
 
 
 def test_memory_estimate_covers_traced_peak():
@@ -126,56 +123,46 @@ def test_memory_estimate_covers_traced_peak():
         tracemalloc.start()
         try:
             slater = SlaterIntegralTable(ctx.orbitals)
-            assemble_hamiltonian(lists, ctx.orbitals, slater)
+            assemble_hamiltonian(lists, slater)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         with pytest.raises(MemoryError):
-            assemble_hamiltonian(lists, ctx.orbitals, slater,
-                                 memory_budget=peak - 1)
+            assemble_hamiltonian(lists, slater, memory_budget=peak - 1)
 
 
 def test_both_spins_in_one_call_match_single_spin(toy):
-    orbitals, slater = toy
+    slater = toy
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
-    both = assemble_hamiltonian(lists, orbitals, slater)
+    both = assemble_hamiltonian(lists, slater)
     for configs, H in zip(lists, both):
-        (alone,) = assemble_hamiltonian([configs], orbitals, slater)
+        (alone,) = assemble_hamiltonian([configs], slater)
         assert np.array_equal(H, alone)
-        assert_allclose(H, hamiltonian_msum(configs, orbitals, slater),
+        assert_allclose(H, hamiltonian_msum(configs, slater),
                         atol=1e-12)
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), states=())
+        slater = SlaterIntegralTable(ctx.orbitals)
         lists = [build_config_list(2, 15, S) for S in (0, 1)]
-        both = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+        both = assemble_hamiltonian(lists, slater)
         for configs, H in zip(lists, both):
-            (alone,) = assemble_hamiltonian([configs], ctx.orbitals,
-                                            ctx.slater)
+            (alone,) = assemble_hamiltonian([configs], slater)
             assert np.array_equal(H, alone)
 
 
 def test_assembly_input_checks(toy):
-    orbitals, slater = toy
+    slater = toy
     with pytest.raises(InconsistentInputError):
-        assemble_hamiltonian([], orbitals, slater)
+        assemble_hamiltonian([], slater)
     with pytest.raises(InconsistentInputError):
         assemble_hamiltonian([build_config_list(1, 3, 0),
-                              build_config_list(0, 3, 1)], orbitals, slater)
-
-
-def test_mismatched_slater_table(toy):
-    orbitals, _ = toy
-    basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    other = SlaterIntegralTable(build_orbital_set(basis, 2.0, 3, 1))
-    configs = build_config_list(1, 3, 0)
-    with pytest.raises(InconsistentInputError):
-        assemble_hamiltonian([configs], orbitals, other)
+                              build_config_list(0, 3, 1)], slater)
 
 
 def test_select_state(toy):
-    orbitals, slater = toy
+    slater = toy
     configs = build_config_list(1, 3, 0)
-    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], slater))
     ground = select_state(spec, configs, (1, 1))
     assert ground.dominant == Configuration(1, 1, 0)
     assert ground.dominant_weight > 0.9
@@ -187,9 +174,9 @@ def test_select_state(toy):
 
 
 def test_select_state_triplet_rules(toy):
-    orbitals, slater = toy
+    slater = toy
     configs = build_config_list(1, 3, 1)
-    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], slater))
     with pytest.raises(InvalidParameterError):
         select_state(spec, configs, (1, 1))
     state = select_state(spec, configs, (1, 2))
@@ -197,11 +184,10 @@ def test_select_state_triplet_rules(toy):
 
 
 def test_select_state_energy_rank_fallback(toy):
-    orbitals, slater = toy
+    slater = toy
     for S, rank in ((0, 1), (1, 0)):
         configs = build_config_list(1, 3, S)
-        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
-                                                 slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], slater))
         # spread every eigenvector evenly so no overlap reaches 0.5
         n = len(configs)
         spec.eigenvectors = np.full((n, n), 1.0 / np.sqrt(n))
@@ -241,19 +227,18 @@ def _truncation_verdicts(spec, configs, pair):
 
 
 def test_partial_spectrum_pick_is_proven_or_deferred(toy):
-    orbitals, slater = toy
+    slater = toy
     for S in (0, 1):
         configs = build_config_list(1, 3, S)
-        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
-                                                 slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], slater))
         for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
             _truncation_verdicts(spec, configs, pair)
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), states=())
         for S in (0, 1):
             configs = build_config_list(2, 15, S)
-            spec = diagonalize(*assemble_hamiltonian([configs], ctx.orbitals,
-                                                     ctx.slater))
+            spec = diagonalize(*assemble_hamiltonian(
+                [configs], SlaterIntegralTable(ctx.orbitals)))
             for pair in [(1, 1), (1, 2), (1, 3), (2, 3)][S:]:
                 deferred = _truncation_verdicts(spec, configs, pair)
                 if (z, S, pair) == (1.0, 1, (1, 2)):
@@ -308,13 +293,13 @@ def test_sign_fix_matches_column_loop():
 
 def test_davidson_matches_eigh(toy):
     """davidson, called below and above the cut, vs scipy.linalg.eigh."""
-    orbitals, slater = toy
+    slater = toy
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
-    cases = [(H, 2) for H in assemble_hamiltonian(lists, orbitals, slater)]
+    cases = [(H, 2) for H in assemble_hamiltonian(lists, slater)]
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, l_max=3, n_max=25), states=())
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
-        Hs = assemble_hamiltonian(lists, ctx.orbitals, ctx.slater)
+        Hs = assemble_hamiltonian(lists, SlaterIntegralTable(ctx.orbitals))
         # lowest_states' first rungs, roots 0..n2 - S for the ground and
         # 1s2s targets (the Z = 1 ground rung converges only from the wide
         # start subspace), and 12 roots
@@ -337,8 +322,8 @@ def test_davidson_falls_back_to_eigh(monkeypatch, name, value):
     # a matrix wider than davidson's start subspace, which would otherwise
     # hold every root exactly after one Rayleigh-Ritz step
     ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), states=())
-    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
-                                ctx.slater)
+    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)],
+                                SlaterIntegralTable(ctx.orbitals))
     assert len(H) > ci.START_BLOCK
     want = diagonalize(H)
     monkeypatch.setattr(ci, name, value)
@@ -357,8 +342,8 @@ def test_diagonalize_rejects_asymmetric_hamiltonian():
     # exactly symmetric: one ulp off must fail on the eigh and the
     # Davidson route alike, before either solves
     ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), states=())
-    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)], ctx.orbitals,
-                                ctx.slater)
+    (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)],
+                                SlaterIntegralTable(ctx.orbitals))
     assert len(H) >= ci.DAVIDSON_MIN_DIM
     skewed = H.copy()
     skewed[3, 40] = np.nextafter(skewed[3, 40], np.inf)
@@ -375,8 +360,8 @@ def test_davidson_on_leading_view_copies_nothing():
     its products must read the view in place: a copy alone is 8 m^2 bytes.
     """
     ctx = build_context(RunConfig(z=2.0, l_max=4, n_max=30), states=())
-    (H,) = assemble_hamiltonian([build_config_list(4, 30, 0)], ctx.orbitals,
-                                ctx.slater)
+    (H,) = assemble_hamiltonian([build_config_list(4, 30, 0)],
+                                SlaterIntegralTable(ctx.orbitals))
     m = len(build_config_list(2, 30, 0))   # the l <= 2 rows lead
     view = H[:m, :m]
     assert not view.flags.contiguous
@@ -393,15 +378,37 @@ def test_davidson_on_leading_view_copies_nothing():
     assert_allclose(got.eigenvectors, want.eigenvectors, rtol=0, atol=1e-12)
 
 
+def test_two_body_part_positive_definite():
+    """lambda_min(H - diag(e_a + e_b)) > 0 on the benchmark's bases.
+
+    The two-body part is the projection of the positive operator 1/r12, so
+    it must be positive definite in any basis; Weyl's inequality then
+    bounds the lowest root below by the lowest e_a + e_b.  Both spins at
+    l2,n15 on eight scan charges (smallest value 4.9e-4, at Z = 1), and
+    the He l4,n30, r_max 60 singlet (8.9e-3).
+    """
+    cases = [(RunConfig(z=z, **SCAN_DEFAULTS), (0, 1))
+             for z in (100.0, 25.0, 5.0, 2.0, 1.5, 1.2, 1.05, 1.0)]
+    cases.append((RunConfig(z=2.0, l_max=4, n_max=30, r_max=60.0), (0,)))
+    for config, spins in cases:
+        ctx = build_context(config, ())
+        orbitals, res = ctx.orbitals, ctx.config
+        lists = [build_config_list(res.l_max, res.n_max, S) for S in spins]
+        Hs = assemble_hamiltonian(lists, SlaterIntegralTable(orbitals))
+        for configs, H in zip(lists, Hs):
+            one_body = [orbitals.energy(c.n1, c.l) + orbitals.energy(c.n2, c.l)
+                        for c in configs]
+            V = H - np.diag(one_body)
+            assert np.linalg.eigvalsh(V)[0] > 0, (config.z, configs.S)
+
+
 def test_helium_energies_small_basis():
     # modest basis: energies land within a few mH of the converged values
     basis = BSplineBasis(make_knots(60.0, 19, 7))
-    orbitals = build_orbital_set(basis, 2.0, 15, 2)
-    slater = SlaterIntegralTable(orbitals)
+    slater = SlaterIntegralTable(build_orbital_set(basis, 2.0, 15, 2))
     configs = build_config_list(2, 15, 0)
-    spec = diagonalize(*assemble_hamiltonian([configs], orbitals, slater))
+    spec = diagonalize(*assemble_hamiltonian([configs], slater))
     assert abs(spec.eigenvalues[0] - (-2.9037)) < 5e-3
     configs_t = build_config_list(2, 15, 1)
-    spec_t = diagonalize(*assemble_hamiltonian([configs_t], orbitals,
-                                               slater))
+    spec_t = diagonalize(*assemble_hamiltonian([configs_t], slater))
     assert abs(spec_t.eigenvalues[0] - (-2.1752)) < 2e-3

@@ -23,19 +23,16 @@ RNG = np.random.default_rng(2718)
 
 def toy_states(l_max=1, n_max=3, per_spin=3):
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    orbitals = build_orbital_set(basis, 2.0, n_max, l_max)
-    slater = SlaterIntegralTable(orbitals)
+    slater = SlaterIntegralTable(build_orbital_set(basis, 2.0, n_max, l_max))
     out = []
     for S in (0, 1):
         configs = build_config_list(l_max, n_max, S)
-        spec = diagonalize(*assemble_hamiltonian([configs], orbitals,
-                                                 slater))
+        spec = diagonalize(*assemble_hamiltonian([configs], slater))
         for idx in range(min(per_spin, len(configs))):
             state = CIState(
                 energy=float(spec.eigenvalues[idx]),
                 coefficients=spec.eigenvectors[:, idx],
-                label=f"t{idx}", S=S, dominant=configs[0],
-                dominant_weight=0.0,
+                S=S, dominant=configs[0], dominant_weight=0.0,
             )
             out.append((state, configs))
     return out
@@ -48,8 +45,8 @@ def random_state(configs, seed):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=len(configs))
     vec /= np.linalg.norm(vec)
-    return CIState(energy=0.0, coefficients=vec, label="r",
-                   S=configs.S, dominant=configs[0], dominant_weight=0.0)
+    return CIState(energy=0.0, coefficients=vec, S=configs.S,
+                   dominant=configs[0], dominant_weight=0.0)
 
 
 def with_pair_matrix(state, configs, l, C):
@@ -62,7 +59,7 @@ def with_pair_matrix(state, configs, l, C):
     coefficients = state.coefficients.copy()
     coefficients[rows] = np.where(i == j, 1.0, np.sqrt(2.0)) * C[i, j]
     return CIState(energy=state.energy, coefficients=coefficients,
-                   label=state.label, S=state.S, dominant=state.dominant,
+                   S=state.S, dominant=state.dominant,
                    dominant_weight=state.dominant_weight)
 
 
@@ -180,22 +177,22 @@ def test_spin_weighted_entanglement_identities():
 def test_error_paths():
     state, configs = STATES[0]
     bad = CIState(energy=0.0, coefficients=state.coefficients[:-1],
-                  label="bad", S=0, dominant=configs[0], dominant_weight=0.0)
+                  S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
         state_spectrum(bad, configs)
     triplets = STATES[-1][1]
     flipped = CIState(energy=0.0, coefficients=np.zeros(len(triplets)),
-                      label="s", S=0, dominant=configs[0], dominant_weight=0.0)
+                      S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError, match="spins"):
         state_spectrum(flipped, triplets)
     unnormalized = CIState(
-        energy=0.0, coefficients=2.0 * state.coefficients, label="u",
+        energy=0.0, coefficients=2.0 * state.coefficients,
         S=0, dominant=configs[0], dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
         state_spectrum(unnormalized, configs)
     # no configurations at all (triplets at n_max = 1): a zero trace too
     empty = build_config_list(0, 1, 1)
-    nothing = CIState(energy=0.0, coefficients=np.zeros(0), label="e",
-                      S=1, dominant=None, dominant_weight=0.0)
+    nothing = CIState(energy=0.0, coefficients=np.zeros(0), S=1,
+                      dominant=None, dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
         state_spectrum(nothing, empty)

@@ -114,6 +114,18 @@ def test_scan_rows_report_their_gamma(scan):
         assert row["gamma"] == default_gamma(row["r_max"])
 
 
+def test_scan_json_echoes_no_box(scan, tmp_path):
+    # the base config is resolved at its own Z = 2, a box no row used: each
+    # row carries its z, r_max and gamma, and the config none of them
+    path = tmp_path / "zscan.json"
+    write_json(path, scan)
+    payload = json.loads(path.read_text())
+    assert not {"state", "z", "r_max", "gamma"} & set(payload["config"])
+    for row in payload["rows"]:
+        assert {"z", "r_max", "gamma"} <= set(row)
+    assert {row["r_max"] for row in payload["rows"]} == {60.0, 80.0}
+
+
 def test_convergence_rows():
     from helike.pipeline import run_convergence
     result = run_convergence(RunConfig(z=2.0, state="ground"), [0], [6, 8])

@@ -1,4 +1,5 @@
 """Pipeline orchestration: configs, solves, convergence grids, scans."""
+import gc
 import math
 import tracemalloc
 import weakref
@@ -405,7 +406,7 @@ def test_context_serves_its_states(monkeypatch):
     for other in ("1s9s-3S", "1s2s-3S", "1s3s-1S"):
         with pytest.raises(InvalidParameterError):
             solve_in_context(ctx, other)
-    # the convergence table's context: orbitals and R^k table only
+    # the convergence table's context: orbitals only
     assert build_context(config, ()).states == {}
     assert len(Hs) == 1 and len(solves) == 1
 
@@ -423,6 +424,29 @@ def test_context_serves_its_states(monkeypatch):
     monkeypatch.setattr(pipeline, "build_orbital_set", no_orbitals)
     with pytest.raises(InvalidParameterError):
         build_context(config, ["bogus"])
+
+
+def test_context_keeps_no_slater_table(monkeypatch):
+    """The R^k table and its orbital samples live only for the assembly.
+
+    A context serving states builds one table and drops it before it
+    returns; a context serving none builds no table at all.
+    """
+    tables = []
+
+    def recording_table(orbitals):
+        table = SlaterIntegralTable(orbitals)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(pipeline, "SlaterIntegralTable", recording_table)
+    ctx = build_context(RunConfig(z=2, **SCAN_DEFAULTS),
+                        ("1s2s-1S", "1s2s-3S"))
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
+    assert len(ctx.states) == 2
+    build_context(RunConfig(z=2, **SCAN_DEFAULTS), ())
+    assert len(tables) == 1
 
 
 def test_default_scan_charges():
