@@ -166,18 +166,21 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
         )
     l_max = config_lists[0].l_max
     blocks = [c.blocks() for c in config_lists]
-    # Peak estimate: every H, what folded_block holds at once, plus the
-    # l = 0 working set (the most configurations): one list's direct
-    # gather, its exchange gather and the signed exchange.
+    # Peak estimate: every H, plus the larger of what folded_block holds at
+    # once (the table and its working set) and the table beside the
+    # gathers' phase at l = 0 (the most configurations): the folded block,
+    # one list's direct gather, its exchange gather and the signed exchange.
     h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
-    rk_bytes = slater.peak_bytes(l_max)
-    gather_bytes = 24 * max(b[0][0].stop for b in blocks) ** 2
-    need = h_bytes + rk_bytes + gather_bytes
+    rk_bytes = slater.peak_bytes()
+    n0 = slater.orbitals.orbitals(0).n_orbitals
+    gather_bytes = (slater.nbytes + 8 * n0**4
+                    + 24 * max(b[0][0].stop for b in blocks) ** 2)
+    need = h_bytes + max(rk_bytes, gather_bytes)
     if need > memory_budget:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
-            f"R^k working set {rk_bytes}, gathers {gather_bytes} "
-            f"(budget {memory_budget}); reduce l_max/n_max"
+            f"R^k working set {rk_bytes}, table, block and gathers "
+            f"{gather_bytes} (budget {memory_budget}); reduce l_max/n_max"
         )
     Hs = [np.zeros((len(c), len(c))) for c in config_lists]
     for la in range(l_max + 1):

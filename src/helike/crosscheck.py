@@ -84,8 +84,11 @@ def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d,
     Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
     = R^k(cd,ab) so that all four give the same float.  The two
     quadrature orientations (which electron sits on the outer grid) are
-    averaged, as the symmetrization of folded_block does.  blocks, when
-    given, keeps each rank_block(k, lb, ld) result for later calls.
+    averaged, as the symmetrization of folded_block does.  The inner
+    integral is rank_block's, which takes the outer point's own cell
+    through that cell's local B-splines; the outer integral reads the
+    table's main-grid samples.  blocks, when given, keeps each
+    rank_block(k, lb, ld) result for later calls.
     """
     key = min((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
     (ia, la), (ib, lb), (ic, lc), (id_, ld) = (
@@ -100,8 +103,8 @@ def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d,
 
     def oriented(ia, la, ic, lc, ib, lb, id_, ld):
         # pair (a, c) on the outer quadrature, (b, d) in the inner integral
-        outer = (slater._samples[la][0][ia] * slater.w
-                 * slater._samples[lc][0][ic])
+        outer = (slater._samples[la][ia] * slater.w
+                 * slater._samples[lc][ic])
         return outer @ inner(lb, ld)[ib, id_]
 
     return float(0.5 * (oriented(ia, la, ic, lc, ib, lb, id_, ld)

@@ -13,6 +13,14 @@ both sides of the kernel kink at r1 = r2.  Each quadrature term enters the
 inner sum once: a partial sum minus the own cell's terms would cancel most
 digits near the nucleus at high k, where those terms dominate.
 
+Only `order` B-splines are nonzero on a cell, and there chi_b = C_b B with
+C_b the orbital's coefficients on them.  So the own cell goes through those
+local splines: with B_q their values on r_q's sub-cell nodes and sub_k[q]
+the kernel weights there, its term is C_b O_k[q] C_d^T with the order x
+order matrix O_k[q] = B_q^T diag(sub_k[q]) B_q.  The table holds the
+orbitals on the main grid, B_q, each l's coefficients per cell and the
+kernel geometry r_< / r_> and r_>.
+
 Only the inner integral depends on k.  `rank_block` returns it for one
 rank and one pair of l's; `folded_block` sums the ranks a CI block needs,
 weighted by their angular factors, and takes the outer integral of the sum
@@ -31,7 +39,8 @@ SYMMETRIZE_TILE = 256
 
 
 class SlaterIntegralTable:
-    """Slater integrals for one orbital set; holds its orbital samples."""
+    """Slater integrals for one orbital set; holds its orbitals' samples on
+    the main grid and their coefficients on each cell's splines."""
 
     def __init__(self, orbital_set: RadialOrbitalSet):
         self.orbitals = orbital_set
@@ -50,14 +59,33 @@ class SlaterIntegralTable:
         nodes = edges[:, :2, None] + half * (x + 1.0)
         self.sub_r = nodes.reshape(len(r), -1)
         self.sub_w = (half * gw).reshape(len(r), -1)
-        # chi_nl of every l on the main grid, (n_orb, n_points), and on the
-        # sub-cell nodes, (n_orb, n_points, 2 * SUBCELL_POINTS), sampled in
-        # one values_at call
-        nq = len(r)
-        points = np.concatenate((r, self.sub_r.ravel()))
-        self._samples = {
-            l: (v[:, :nq], v[:, nq:].reshape(len(v), nq, -1))
-            for l, v in orbital_set.values_at(points).items()}
+        # kernel geometry r_< / r_> and r_>: on the main grid, with r_>
+        # infinite inside r_q's own cell so that its kernel weights are 0,
+        # and on each outer point's sub-cell nodes
+        def geometry(x, rq):
+            lo, hi = np.minimum(x, rq), np.maximum(x, rq)
+            return lo / hi, hi
+
+        self._ratio, self._hi = geometry(r[:, None], r)
+        self._hi[self.cell[:, None] == self.cell] = np.inf
+        self._sub_ratio, self._sub_hi = geometry(self.sub_r, r[:, None])
+        # chi_nl of every l on the main grid, (n_orb, n_points)
+        self._samples = orbital_set.values_at(r)
+        # the `order` splines J that can be nonzero on each cell, from the
+        # cell's knot index mu (splines mu - order + 1 .. mu); their values
+        # on every outer point's sub-cell nodes, (n_points,
+        # 2 * SUBCELL_POINTS, order), and each l's coefficients on them,
+        # (n_cells, n_orb, order), which are 0 on the dropped first and
+        # last spline
+        mu = np.searchsorted(basis.knots.points, bp[:-1], side="right") - 1
+        J = mu[:, None] + np.arange(1 - basis.order, 1)
+        B = basis.eval_matrix(self.sub_r.ravel()).reshape(len(r), -1,
+                                                          basis.n_splines)
+        self._local = np.take_along_axis(B, J[self.cell][:, None], axis=2)
+        self._coeffs = {
+            l: np.pad(orb.coefficients, ((0, 0), (1, 1)))[:, J]
+            .transpose(1, 0, 2).copy()
+            for l, orb in orbital_set.per_l.items()}
 
     def _kernel(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of r_<^k / r_>^{k+1} for each outer point r_q.
@@ -65,33 +93,39 @@ class SlaterIntegralTable:
         K[q', q] on the main-grid points q' outside r_q's cell (zero inside
         it), and sub[q, s] on the sub-cell nodes of r_q's cell.
         """
-        def weights(w, x, rq):
-            lo, hi = np.minimum(x, rq), np.maximum(x, rq)
-            return w * (lo / hi) ** k / hi
-
-        r = self.r
-        K = weights(self.w[:, None], r[:, None], r[None, :])
-        K[self.cell[:, None] == self.cell[None, :]] = 0.0
-        return K, weights(self.sub_w, self.sub_r, r[:, None])
+        K = self._ratio ** k
+        K *= self.w[:, None]
+        K /= self._hi
+        return K, self.sub_w * self._sub_ratio ** k / self._sub_hi
 
     # -- public API ---------------------------------------------------------
 
-    def peak_bytes(self, l_max: int) -> int:
-        """Most that folded_block holds at once for l <= l_max, in bytes.
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the table holds."""
+        arrays = [self._ratio, self._hi, self._sub_ratio, self._sub_hi,
+                  self.sub_r, self.sub_w, self._local,
+                  *self._samples.values(), *self._coeffs.values()]
+        return sum(a.nbytes for a in arrays)
 
-        The orbital samples the table holds for every l, plus the larger of
-        its two phases at l = 0, which has the most orbitals: the rank sum W
-        beside one rank_block call (its V, the pair product or the
-        own-cell part, and the kernel matrix K); then W, U and the block
-        with one symmetrization tile.
+    def peak_bytes(self) -> int:
+        """Most that folded_block holds at once, in bytes.
+
+        The table's arrays, plus the larger of folded_block's phases at
+        l = 0, which has the most orbitals: the rank sum W beside one
+        rank_block call (its V, the pair product or the own-cell part, the
+        kernel matrix K, and the own cell's per-point products O_k and
+        C_b O_k); then the block beside W and U, or beside two
+        symmetrization tiles once W and U are freed (a tile lives until
+        the next one is built).
         """
-        nq = len(self.r)
-        n = [self.orbitals.orbitals(l).n_orbitals for l in range(l_max + 1)]
-        samples = (1 + 2 * SUBCELL_POINTS) * nq * sum(n)
-        pairs = n[0] ** 2 * nq
-        ranks = 3 * pairs + nq**2
-        outer = 2 * pairs + n[0] ** 4 + min(SYMMETRIZE_TILE, n[0] ** 2) ** 2
-        return 8 * (samples + max(ranks, outer))
+        nq, order = len(self.r), self.basis.order
+        n0 = self.orbitals.orbitals(0).n_orbitals
+        pairs = n0**2 * nq
+        ranks = 3 * pairs + nq**2 + nq * order * (order + n0)
+        tile = min(SYMMETRIZE_TILE, n0**2) ** 2
+        outer = n0**4 + max(2 * pairs, 2 * tile)
+        return self.nbytes + 8 * max(ranks, outer)
 
     def rank_block(self, k: int, la: int, lc: int) -> np.ndarray:
         """V[b, d, q] = rank-k inner integral for b in la, d in lc at r1 = r_q.
@@ -99,15 +133,21 @@ class SlaterIntegralTable:
         V = int_0^R r_<^k / r_>^{k+1} chi_b chi_d dr,  r_< = min(r, r_q)
         """
         K, sub = self._kernel(k)
-        Xb, Sb = self._samples[la]
-        Xd, Sd = self._samples[lc]
+        Xb, Xd = self._samples[la], self._samples[lc]
         nq = len(self.r)
         V = (np.einsum("bq,dq->bdq", Xb, Xd).reshape(-1, nq) @ K
              ).reshape(len(Xb), len(Xd), nq)
-        # r_q's own cell: one (b, s) @ (s, d) product per outer point q,
-        # batched over q
-        own = (Sb * sub).transpose(1, 0, 2) @ Sd.transpose(1, 2, 0)
-        V += own.transpose(1, 2, 0)
+        # r_q's own cell through its local splines: O_k[q] = B_q^T
+        # diag(sub[q]) B_q, then C_b O_k[q] C_d^T with the coefficients on
+        # r_q's cell; the products with C_d^T take all of a cell's outer
+        # points at once
+        B = self._local
+        O = (B * sub[:, :, None]).transpose(0, 2, 1) @ B
+        Cb, Cd = self._coeffs[la], self._coeffs[lc]
+        n_cells, _, order = Cb.shape
+        CO = Cb[:, None] @ O.reshape(n_cells, -1, order, order)
+        own = CO.reshape(n_cells, -1, order) @ Cd.transpose(0, 2, 1)
+        V += own.reshape(nq, len(Xb), len(Xd)).transpose(1, 2, 0)
         return V
 
     def folded_block(self, terms: list[tuple[int, float]], la: int,
@@ -126,10 +166,11 @@ class SlaterIntegralTable:
         W = self.rank_block(k, la, lc) * ck
         for k, ck in rest:
             W += ck * self.rank_block(k, la, lc)
-        Xa, Xc = self._samples[la][0], self._samples[lc][0]
+        Xa, Xc = self._samples[la], self._samples[lc]
         na, nc = Xa.shape[0], Xc.shape[0]
         U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
         M = U @ W.reshape(na * nc, -1).T
+        del U, W  # the tile pass reads neither; peak_bytes counts on it
         # in place, one tile pair at a time: no second full-size copy;
         # (a + b) * 0.5 is the same float for both halves
         for i in range(0, len(M), SYMMETRIZE_TILE):

@@ -93,17 +93,27 @@ def test_memory_budget(toy):
         assemble_hamiltonian([configs], slater,
                              memory_budget=budget)
     # room for the singlet build alone, but not for singlet plus triplet;
-    # the R^k working set counts too: orbital samples on the main and both
-    # sub-cell grids, then the larger of two phases, each with n_orb^2 x Q
-    # pair arrays: the rank sum beside one rank's V, its pair product and
-    # the Q x Q K; then the rank sum, U, the block and its tile
+    # the R^k work counts too: the table's arrays (orbital samples on the
+    # main grid, the local splines on the sub-cell nodes, each l's
+    # coefficients on them, the kernel geometry on both grids and the
+    # sub-cell nodes and weights), then the largest of three phases, with
+    # n_orb^2 x Q pair arrays: the rank sum beside one rank's V, its pair
+    # product or own-cell part, the Q x Q K and the own cell's O_k and
+    # C_b O_k; the block beside the rank sum and U, or beside two tiles;
+    # the block beside the direct and exchange gathers and the signed
+    # exchange
     n_cfg = configs.blocks()[0][0].stop
-    nq = len(slater.r)
+    nq, order = len(slater.r), slater.basis.order
+    n_sub = 2 * SUBCELL_POINTS
     n_samples = n_orb + slater.orbitals.orbitals(1).n_orbitals
+    table = (nq * n_samples + nq * n_sub * order
+             + slater.basis.n_cells * n_samples * order
+             + 2 * nq**2 + 4 * nq * n_sub)
     pairs = n_orb**2 * nq
-    rk = ((1 + 2 * SUBCELL_POINTS) * nq * n_samples
-          + max(3 * pairs + nq**2, 2 * pairs + 2 * n_orb**4))
-    alone = 8 * (len(configs) ** 2 + rk + 3 * n_cfg**2)
+    phases = max(3 * pairs + nq**2 + nq * order * (order + n_orb),
+                 n_orb**4 + max(2 * pairs, 2 * n_orb**4),
+                 n_orb**4 + 3 * n_cfg**2)
+    alone = 8 * (len(configs) ** 2 + table + phases)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs, triplets], slater,
@@ -113,10 +123,11 @@ def test_memory_budget(toy):
 
 def test_memory_estimate_covers_traced_peak():
     # real assemblies: a budget one byte below the traced peak must fail.
-    # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed.
-    # The table samples its orbitals when it is built, so its build is
-    # traced too
-    for l_max, n_max, spins in ((0, 40, (0,)), (2, 25, (0, 1))):
+    # l0,n40 has one rank per block; at l2,n25 up to three ranks are summed;
+    # l4,n30 is the convergence table's singlet.  The table samples its
+    # orbitals when it is built, so its build is traced too
+    for l_max, n_max, spins in ((0, 40, (0,)), (2, 25, (0, 1)),
+                                (4, 30, (0,))):
         ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max),
                             states=())
         lists = [build_config_list(l_max, n_max, S) for S in spins]

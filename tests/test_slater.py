@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from helike.bspline import BSplineBasis, make_knots
 from helike.crosscheck import slater_integral
 from helike.orbitals import build_orbital_set
+from helike.pipeline import SCAN_DEFAULTS, RunConfig, build_context
 from helike.selftest import HYDROGENIC_RK
-from helike.slater import SlaterIntegralTable
+from helike.slater import SUBCELL_POINTS, SlaterIntegralTable
 
 RNG = np.random.default_rng(7)
 
@@ -142,3 +143,69 @@ def test_inner_integral_against_compensated_sum():
                 ref = math.fsum(terms * Y[b] * Y[d])
                 worst = max(worst, abs(V[b, d, q] - ref) / abs(ref))
     assert worst <= 1e-12
+
+
+def _dense_inner(t, k, X, S, Y, T):
+    """Inner integrals from orbitals sampled on every quadrature node.
+
+    X, Y: two l's orbitals on the main grid, (n, Q); S, T: the same on
+    each outer point's sub-cell nodes, (n, Q, 2 * SUBCELL_POINTS).
+    """
+    r = t.r
+    lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    K = np.where(t.cell[:, None] == t.cell, 0.0,
+                 t.w[:, None] * (lo / hi) ** k / hi)
+    lo, hi = np.minimum(t.sub_r, r[:, None]), np.maximum(t.sub_r, r[:, None])
+    sub = t.sub_w * (lo / hi) ** k / hi
+    return (np.einsum("bq,dq,qp->bdp", X, Y, K, optimize=True)
+            + np.einsum("bqs,dqs,qs->bdq", S, T, sub, optimize=True))
+
+
+def test_own_cell_through_local_splines():
+    # rank_block integrates r_q's own cell through the splines that are
+    # nonzero on it; the reference samples every orbital on all sub-cell
+    # nodes.  The toy basis has few cells, and in those at r = 0 and r = R
+    # the first and last spline are dropped.  Each outer point's inner
+    # integrals V[:, :, q] are compared relative to their largest entry.
+    toy = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
+    sets = [build_orbital_set(toy, 2.0, 4, 2)]
+    for z in (1.0, 100.0):
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), ())
+        sets.append(ctx.orbitals)
+    for orbitals in sets:
+        t = SlaterIntegralTable(orbitals)
+        X = orbitals.values_at(t.r)
+        S = {l: v.reshape(len(v), len(t.r), -1)
+             for l, v in orbitals.values_at(t.sub_r.ravel()).items()}
+        for la in X:
+            for lc in X:
+                for k in range(la + lc + 1):
+                    ref = _dense_inner(t, k, X[la], S[la], X[lc], S[lc])
+                    err = np.abs(t.rank_block(k, la, lc) - ref).max((0, 1))
+                    assert np.all(err <= 1e-13 * np.abs(ref).max((0, 1))), (
+                        orbitals.Z, k, la, lc)
+
+
+def test_table_holds_no_sub_cell_samples():
+    # He l4,n30, r_max 60: the table holds each orbital on the main grid
+    # and its coefficients on each cell's splines, not on every outer
+    # point's sub-cell nodes
+    ctx = build_context(RunConfig(z=2.0, l_max=4, n_max=30, r_max=60.0), ())
+    t = SlaterIntegralTable(ctx.orbitals)
+
+    def held(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            return [a for v in value for a in held(v)]
+        return []
+
+    arrays = held(list(vars(t).values()))
+    assert sum(a.nbytes for a in arrays) <= 3.5e6
+    nq = len(t.r)
+    for l in range(5):
+        n_orb = ctx.orbitals.orbitals(l).n_orbitals
+        assert all(a.shape != (n_orb, nq, 2 * SUBCELL_POINTS)
+                   for a in arrays)
