@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InconsistentInputError, InvalidParameterError
+from .orbitals import RadialOrbitalSet
 from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
 
 SPECTROSCOPIC = "spdfghiklmnoq"
@@ -209,13 +210,38 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                     H[rows, cols] = 0.5 * (block + block.T)
                 del block  # no gather outlives its list
             del G  # free before the next block is built
-        # one-body part: diagonal in the CSF basis of orbital eigenstates
-        e = slater.orbitals.orbitals(la).energies
-        for H, b in zip(Hs, blocks):
-            rows, A, B = b[la]
-            idx = np.arange(rows.start, rows.stop)
-            H[idx, idx] += e[A] + e[B]
+    for H, c in zip(Hs, config_lists):
+        H[np.diag_indices_from(H)] += one_body_diagonal(c, slater.orbitals)
     return Hs
+
+
+def one_body_diagonal(configs: ConfigList,
+                      orbitals: RadialOrbitalSet) -> np.ndarray:
+    """e_a + e_b for each row (ab) of configs, from orbitals' energies.
+
+    This is H's one-body part, diagonal in the CSF basis of orbital
+    eigenstates; assemble_hamiltonian adds it to the two-body part.
+    """
+    d = np.empty(len(configs))
+    for l, (rows, A, B) in configs.blocks().items():
+        e = orbitals.orbitals(l).energies
+        d[rows] = e[A] + e[B]
+    return d
+
+
+def rescale_hamiltonian(H: np.ndarray, D: np.ndarray, s: float) -> None:
+    """Take H and its one-body diagonal D from charge Z0 to s Z0, in place.
+
+    Valid when both charges share one basis in the scaled radius rho = Z r:
+    the orbital coefficients are then the same, every orbital energy scales
+    as Z^2 and every R^k as Z (Hylleraas's 1/Z expansion, Z. Phys. 65, 209
+    (1930)), so with V the two-body part H(s Z0) = s V + s^2 D.  That is
+    s H(Z0) + (s^2 - s) D, which needs no V: the off-diagonal entries are
+    scaled, the diagonal gains (s^2 - s) D, and H stays exactly symmetric.
+    """
+    H *= s
+    H[np.diag_indices_from(H)] += (s * s - s) * D
+    D *= s * s
 
 
 @dataclass

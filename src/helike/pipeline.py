@@ -11,8 +11,12 @@ largest first, compacts its rows into the leading block of H's own
 buffer, and each l_max cell of the column solves a leading view of that
 block.  Z scans walk a charge grid down to the critical region
 near Z = 1, enlarging the radial box as the outer electron delocalizes,
-solve all states of one charge in one context, and never let one failed
-row abort the rest.
+solve all states of one charge in one basis, and never let one failed
+row abort the rest.  A charge whose basis in the scaled radius rho = Z r
+is the previous charge's (every Z >= 2 under the default box) builds no
+basis and assembles nothing: it rescales the previous charge's H, as
+H(Z) = s^2 D + s V with s = Z / Z0.  Every other charge builds its own
+context.
 """
 from __future__ import annotations
 
@@ -29,6 +33,8 @@ from .ci import (
     build_config_list,
     assemble_hamiltonian,
     diagonalize,
+    one_body_diagonal,
+    rescale_hamiltonian,
     select_state,
 )
 from .entanglement import (
@@ -201,7 +207,8 @@ class PipelineContext:
 
 
 def build_context(config: RunConfig,
-                  states=("ground", "1s2s-1S", "1s2s-3S")) -> PipelineContext:
+                  states=("ground", "1s2s-1S", "1s2s-3S"),
+                  keep: list | None = None) -> PipelineContext:
     """Basis and orbitals for config, and every given state solved in them.
 
     The states are parsed before any orbital solve, so a malformed one is
@@ -210,15 +217,14 @@ def build_context(config: RunConfig,
     block is computed once per charge; its R^k table and orbital samples
     go when the assembly returns.  One lowest_states call per spin then
     picks all of that spin's states, and its H is dropped before the next
-    spin is solved.  A state outside the basis costs no table, assembly
-    or root, and the context does not serve it.
+    spin is solved, unless keep is a list: each spin's (configs, H, one-body
+    diagonal) is then appended to it, for a Z-scan's next charge to
+    rescale.  A state outside the basis costs no table, assembly or root,
+    and the context does not serve it.
     """
     config.validate()
     res = config.resolve()
-    targets: dict[int, list[tuple[int, int]]] = {}
-    for pair, spin in map(parse_state, states):
-        if pair[1] <= res.n_max and pair not in targets.get(spin, []):
-            targets.setdefault(spin, []).append(pair)
+    targets = _targets(res, states)
     knots = make_knots(res.r_max, res.n_splines, res.order,
                        grid=res.grid, gamma=res.gamma)
     basis = BSplineBasis(knots, quad_order=res.quad_points)
@@ -229,12 +235,28 @@ def build_context(config: RunConfig,
                  for s in sorted(targets)]
         Hs = assemble_hamiltonian(lists, SlaterIntegralTable(orbitals))
         for cfgs in lists:
-            pairs = targets[cfgs.S]
-            # popped, so this spin's H is freed when its solve returns
-            picks = lowest_states(Hs.pop(0), cfgs, pairs)
-            served.update(((p, cfgs.S), (cfgs, st))
-                          for p, st in zip(pairs, picks))
+            # popped, so unless kept this spin's H goes before the next
+            # spin's solve
+            H = Hs.pop(0)
+            served.update(_picked(H, cfgs, targets[cfgs.S]))
+            if keep is not None:
+                keep.append((cfgs, H, one_body_diagonal(cfgs, orbitals)))
     return PipelineContext(config=res, orbitals=orbitals, states=served)
+
+
+def _targets(res: RunConfig, states) -> dict[int, list[tuple[int, int]]]:
+    """The distinct pairs of states inside res's n_max basis, per spin."""
+    targets: dict[int, list[tuple[int, int]]] = {}
+    for pair, spin in map(parse_state, states):
+        if pair[1] <= res.n_max and pair not in targets.get(spin, []):
+            targets.setdefault(spin, []).append(pair)
+    return targets
+
+
+def _picked(H: np.ndarray, cfgs: ConfigList, pairs):
+    """{(pair, S): (cfgs, state)} for pairs, from one lowest_states call."""
+    picks = lowest_states(H, cfgs, pairs)
+    return {(p, cfgs.S): (cfgs, st) for p, st in zip(pairs, picks)}
 
 
 @dataclass
@@ -259,19 +281,24 @@ class StateReport:
 
 
 def solve_in_context(ctx: PipelineContext, state_text: str) -> StateReport:
+    return _report(ctx.config, ctx.states, state_text)
+
+
+def _report(config: RunConfig, served, state_text: str) -> StateReport:
+    """The report of state_text, looked up in the states served at config."""
     pair, spin = parse_state(state_text)
-    if (pair, spin) not in ctx.states:
+    if (pair, spin) not in served:
         raise InvalidParameterError(
             f"this context serves no {pair[0]}s{pair[1]}s S = {spin} "
-            f"state inside its n_max = {ctx.config.n_max} basis")
-    cfgs, state = ctx.states[pair, spin]
+            f"state inside its n_max = {config.n_max} basis")
+    cfgs, state = served[pair, spin]
     rdm = state_spectrum(state, cfgs)
     s_l = linear_entropy(rdm)
     s_vn = von_neumann_entropy(rdm)
     purity = rdm.purity()
-    z = ctx.config.z
+    z = config.z
     return StateReport(
-        config=ctx.config,
+        config=config,
         state=state_text,
         spin=spin,
         energy=state.energy,
@@ -427,16 +454,42 @@ SCAN_DEFAULTS = {"l_max": 2, "n_max": 15}
 SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 
 
+def _scaled_basis(config: RunConfig) -> tuple | None:
+    """What fixes config's basis in rho = Z r; None if config is invalid.
+
+    The knots are r_max times a profile set by the grid, gamma and
+    n_splines.
+    """
+    try:
+        config.validate()
+    except InvalidParameterError:
+        return None
+    res = config.resolve()
+    return (res.z * res.r_max, res.gamma, res.grid, res.n_splines,
+            res.order, res.quad_points)
+
+
+def _same_basis(a: tuple | None, b: tuple | None) -> bool:
+    # Z r_max to rounding: under the default box Z * (120 / Z) is 120
+    # within a few ulps
+    return (a is not None and b is not None and a[1:] == b[1:]
+            and math.isclose(a[0], b[0], rel_tol=1e-14))
+
+
 def run_zscan(config: RunConfig | None = None, charges=None,
               states=None) -> ZScanResult:
     """Solve the requested states on a charge grid; keep going on failures.
 
-    Each charge builds one context, and all states are solved in its basis.
-    The box radius follows default_box_radius(z) (already enlarged near the
-    critical charge) unless the config pins r_max.  Rows come back ordered
-    by Z then state; failed (Z, state) pairs are collected in .failures
-    instead of aborting the scan, one per state when the charge's context
-    fails.
+    The box radius follows default_box_radius(z) unless the config pins
+    r_max.  A charge whose basis in rho = Z r is the previous, solved
+    charge's (every Z >= 2 under the default box; none with a pinned r_max)
+    builds no basis: it rescales that charge's H of each spin in place and
+    solves its states there.  A charge keeps its H only while the next
+    charge shares its basis.  Every other charge builds one context for all
+    states.  Each row reports its own charge's r_max and gamma; rows come
+    back ordered by Z then state.  Failed (Z, state) pairs are collected in
+    .failures instead of aborting the scan, one per state when the
+    charge's solve fails, and the next charge then builds its own context.
     charges=None / states=None mean the default grid and both 1s2s terms;
     an empty list is an InvalidParameterError.
     """
@@ -451,26 +504,45 @@ def run_zscan(config: RunConfig | None = None, charges=None,
     for s in states:   # a malformed state fails the scan, not each charge
         parse_state(s)
 
+    keys = [_scaled_basis(replace(base, z=z)) for z in charges]
+    shares = [_same_basis(a, b) for a, b in zip(keys, keys[1:])] + [False]
     rows: list[ZScanRow] = []
     failures: list[tuple[float, str, str]] = []
-    for z in charges:
+    kept = None   # the previous charge's (configs, H, D) per spin
+    for i, (z, shares_next) in enumerate(zip(charges, shares)):
+        config = replace(base, z=z)
         try:
-            ctx = build_context(replace(base, z=z), states)
+            if kept is not None:   # this charge shares the previous basis
+                res = config.resolve()
+                targets, served = _targets(res, states), {}
+                for cfgs, H, D in kept:
+                    rescale_hamiltonian(H, D, z / charges[i - 1])
+                    served.update(_picked(H, cfgs, targets[cfgs.S]))
+            elif shares_next:   # the next charge rescales this one's H
+                kept = []
+                ctx = build_context(config, states, keep=kept)
+                res, served = ctx.config, ctx.states
+            else:
+                ctx = build_context(config, states)
+                res, served = ctx.config, ctx.states
         except SCAN_ERRORS as exc:
+            kept = None
             message = f"{type(exc).__name__}: {exc}"
             failures += [(z, s, message) for s in states]
             continue
+        if not shares_next:
+            kept = None
         for s in states:
             try:
-                report = solve_in_context(ctx, s)
+                report = _report(res, served, s)
                 rows.append(ZScanRow(
                     z=z, inv_z=1.0 / z, state=s,
                     energy=report.energy,
                     s_linear=report.s_linear,
                     s_von_neumann=report.s_von_neumann,
                     dominant_weight=report.dominant_weight,
-                    r_max=report.config.r_max,
-                    gamma=report.config.gamma,
+                    r_max=res.r_max,
+                    gamma=res.gamma,
                     selection=report.selection,
                 ))
             except SCAN_ERRORS as exc:

@@ -161,6 +161,33 @@ def test_both_spins_in_one_call_match_single_spin(toy):
             assert np.array_equal(H, alone)
 
 
+def test_rescaled_hamiltonian_matches_direct_assembly():
+    """H(Z) from H(2) on the scan basis, which is fixed in rho = Z r.
+
+    Under the default box every Z >= 2 has Z r_max = 120 and gamma = 6,
+    so H(3) and H(100) of both spins follow from H(2) and its one-body
+    diagonal, within 1e-14 max|H| of their own assembly.
+    """
+    lists = [build_config_list(2, 15, S) for S in (0, 1)]
+
+    def assembled(z):
+        ctx = build_context(RunConfig(z=z, **SCAN_DEFAULTS), states=())
+        assert ctx.config.gamma == 6.0
+        Hs = assemble_hamiltonian(lists, SlaterIntegralTable(ctx.orbitals))
+        return [(H, ci.one_body_diagonal(c, ctx.orbitals))
+                for c, H in zip(lists, Hs)]
+
+    anchor = assembled(2.0)
+    for z in (3.0, 100.0):
+        for (H2, D2), (want, want_d) in zip(anchor, assembled(z)):
+            H, D = H2.copy(), D2.copy()
+            ci.rescale_hamiltonian(H, D, z / 2.0)
+            scale = np.abs(want).max()
+            assert np.abs(H - want).max() <= 1e-14 * scale, z
+            assert np.abs(D - want_d).max() <= 1e-14 * scale, z
+            assert np.array_equal(H, H.T)
+
+
 def test_assembly_input_checks(toy):
     slater = toy
     with pytest.raises(InconsistentInputError):

@@ -333,6 +333,77 @@ def test_run_zscan_rows_and_failures(monkeypatch):
              report.config.gamma, report.selection)
 
 
+# the benchmark's quarter of the default grid; Z = 2, 5, 25 and 100 share
+# one basis in rho = Z r
+SHARING_CHARGES = [1.0, 1.05, 1.2, 1.5, 2.0, 5.0, 25.0, 100.0]
+
+
+def test_zscan_rows_match_per_charge_contexts():
+    """Rescaled charges give the rows of their own contexts."""
+    states = ["1s2s-1S", "1s2s-3S"]
+    scan = run_zscan(charges=SHARING_CHARGES, states=states)
+    assert scan.complete
+    assert [(r.z, r.state) for r in scan.rows] == \
+        [(z, s) for z in SHARING_CHARGES for s in states]
+    for row in scan.rows:
+        ctx = build_context(RunConfig(z=row.z, **SCAN_DEFAULTS), states)
+        want = solve_in_context(ctx, row.state)
+        assert_allclose(row.energy, want.energy, rtol=1e-13, atol=0)
+        assert_allclose([row.s_linear, row.s_von_neumann,
+                         row.dominant_weight],
+                        [want.s_linear, want.s_von_neumann,
+                         want.dominant_weight], rtol=0, atol=1e-13)
+        assert row.selection == want.selection
+        assert (row.r_max, row.gamma) == \
+            (ctx.config.r_max, ctx.config.gamma)
+
+
+def test_zscan_assembles_once_per_scaled_basis(monkeypatch):
+    """Only adjacent charges sharing a basis in rho share one assembly.
+
+    Z = 5, 25 and 100 rescale the previous charge's H, so the 8 charges
+    assemble 5 times; a pinned r_max shares nothing.  When the first
+    sharing charge fails, the next one assembles its own H and the scan
+    fails as a scan that assembles every charge does.
+    """
+    assembled, solved = [], []
+    assemble, orbital_set = (pipeline.assemble_hamiltonian,
+                             pipeline.build_orbital_set)
+
+    def recording_assemble(lists, table):
+        assembled.append(table.orbitals.Z)
+        if table.orbitals.Z == fail_at:
+            raise MemoryError("no room for H")
+        return assemble(lists, table)
+
+    def recording_orbitals(basis, z, *args):
+        solved.append(z)
+        return orbital_set(basis, z, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
+    monkeypatch.setattr(pipeline, "build_orbital_set", recording_orbitals)
+    fail_at = None
+    reference = run_zscan(charges=SHARING_CHARGES)
+    assert assembled == solved == SHARING_CHARGES[:5]
+    assembled.clear()
+    run_zscan(RunConfig(r_max=30.0, **SCAN_DEFAULTS),
+              charges=SHARING_CHARGES)
+    assert assembled == SHARING_CHARGES
+    assembled.clear()
+    fail_at = 2.0
+    scan = run_zscan(charges=SHARING_CHARGES)
+    assert assembled == SHARING_CHARGES[:6]
+    states = ["1s2s-1S", "1s2s-3S"]
+    assert [(z, s) for z, s, _ in scan.failures] == [(2.0, s) for s in states]
+    assert scan.failures[0][2] == "MemoryError: no room for H"
+    want = [r for r in reference.rows if r.z != 2.0]
+    assert [(r.z, r.state, r.selection, r.r_max, r.gamma)
+            for r in scan.rows] == \
+        [(r.z, r.state, r.selection, r.r_max, r.gamma) for r in want]
+    assert_allclose([r.energy for r in scan.rows],
+                    [r.energy for r in want], rtol=1e-13, atol=0)
+
+
 def test_zscan_out_of_basis_state_fails_alone():
     # 1s9s lies outside n_max = 5: it costs the 1s2s 1S row no root
     config = RunConfig(l_max=1, n_max=5)

@@ -115,7 +115,7 @@ def test_charge_scaling():
                             (1, (1, 0), (2, 1), (2, 1), (1, 0))]:
         v1 = slater_integral(t1, k, a, b, c, d)
         v3 = slater_integral(t3, k, a, b, c, d)
-        assert_allclose(v3, 3.0 * v1, rtol=1e-8)
+        assert_allclose(v3, 3.0 * v1, rtol=1e-12)
 
 
 def test_inner_integral_against_compensated_sum():
