@@ -1,13 +1,15 @@
 """B-spline radial basis on [0, R] with per-interval Gauss-Legendre quadrature.
 
 The basis functions B_{i,k}(r), i = 1..N, of order k live on a clamped knot
-sequence with k-fold endpoint multiplicity.  Evaluation is vectorized over
-points: one Cox-de Boor recurrence, with the zero-denominator terms dropped,
-runs over all points at once.  Values come from its order-k row and first
-derivatives from its order-(k-1) row (de Boor, A Practical Guide to Splines,
-1978).  All radial integrals in the package are taken on the
-per-breakpoint-interval Gauss-Legendre grid cached here, which is exact for
-products of two splines against polynomial weights.
+sequence with k-fold endpoint multiplicity; make_knots spaces its interior
+knots exponentially, so they cluster near the nucleus.  Evaluation is
+vectorized over points: one Cox-de Boor recurrence, with the
+zero-denominator terms dropped, runs over all points at once.  Values come
+from its order-k row and first derivatives from its order-(k-1) row (de
+Boor, A Practical Guide to Splines, 1978).  All radial integrals in the
+package are taken on the per-breakpoint-interval Gauss-Legendre grid of
+order + 1 points cached here, which is exact for products of two splines
+against polynomial weights.
 """
 from __future__ import annotations
 
@@ -61,14 +63,12 @@ class KnotSequence:
         return np.unique(self.points)
 
 
-def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
-    """Build a clamped knot sequence on [0, r_max].
+def make_knots(r_max, n_splines, order, gamma=6.0):
+    """Clamped knot sequence on [0, r_max] with exponentially spaced interior.
 
-    grid selects the interior-knot distribution:
-      * "linear":       uniform spacing;
-      * "exponential":  t = r_max * (exp(gamma*x) - 1) / (exp(gamma) - 1)
-                        with x uniform, clustering knots near the origin;
-                        gamma must be finite and positive.
+    The interior knots are t = r_max * (exp(gamma*x) - 1) / (exp(gamma) - 1)
+    with x uniform on (0, 1), clustering them near the origin; gamma must
+    be finite and positive.
     """
     if r_max <= 0:
         raise InvalidParameterError(f"r_max must be positive, got {r_max}")
@@ -78,17 +78,11 @@ def make_knots(r_max, n_splines, order, grid="exponential", gamma=6.0):
         raise InvalidParameterError(
             f"n_splines ({n_splines}) must exceed order ({order})"
         )
-    n_interior = n_splines - order
-    x = np.linspace(0.0, 1.0, n_interior + 2)
-    if grid == "linear":
-        interior = r_max * x[1:-1]
-    elif grid == "exponential":
-        if not 0.0 < gamma < np.inf:
-            raise InvalidParameterError(
-                f"gamma must be finite and positive, got {gamma}")
-        interior = r_max * np.expm1(gamma * x[1:-1]) / np.expm1(gamma)
-    else:
-        raise InvalidParameterError(f"unknown grid spec {grid!r}")
+    if not 0.0 < gamma < np.inf:
+        raise InvalidParameterError(
+            f"gamma must be finite and positive, got {gamma}")
+    x = np.linspace(0.0, 1.0, n_splines - order + 2)
+    interior = r_max * np.expm1(gamma * x[1:-1]) / np.expm1(gamma)
     points = np.concatenate(
         [np.zeros(order), interior, np.full(order, float(r_max))]
     )
@@ -134,21 +128,16 @@ def _nonzero_basis(knots: KnotSequence, r: np.ndarray,
 class BSplineBasis:
     """B-spline basis with a cached Gauss-Legendre grid per breakpoint cell.
 
-    quad_order defaults to order + 1 points per cell, exact for polynomial
-    integrands up to degree 2*order + 1 (covers spline pairs against smooth
-    polynomial weights of low degree).
+    Each cell holds order + 1 points, exact for polynomial integrands up to
+    degree 2*order + 1 (covers spline pairs against smooth polynomial
+    weights of low degree).
     """
 
-    def __init__(self, knots: KnotSequence, quad_order: int | None = None):
+    def __init__(self, knots: KnotSequence):
         self.knots = knots
         self.order = knots.order
         self.n_splines = knots.n_splines
-        p = knots.order + 1 if quad_order is None else int(quad_order)
-        if p < knots.order:
-            raise InvalidParameterError(
-                f"quad_order ({p}) must be at least the spline order"
-            )
-        self.quad_order = p
+        p = knots.order + 1
         bp = knots.breakpoints
         self.breakpoints = bp
         self.n_cells = len(bp) - 1

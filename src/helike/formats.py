@@ -118,14 +118,13 @@ SOLVE_FIELDS = [
     "s_linear", "s_von_neumann", "s_von_neumann_nats",
     "xi_sz0", "xi_polarized",
     "dominant", "dominant_weight", "selection", "ambiguous",
-    "l_max", "n_max", "order", "n_splines", "r_max", "grid", "gamma",
-    "quad_points",
+    "l_max", "n_max", "order", "n_splines", "r_max", "gamma",
 ]
 
 SCAN_FIELDS = [
     "z", "inv_z", "state", "energy", "s_linear", "s_von_neumann",
     "dominant_weight", "r_max", "selection",
-    "l_max", "n_max", "order", "n_splines", "grid", "gamma", "quad_points",
+    "l_max", "n_max", "order", "n_splines", "gamma",
 ]
 
 CONVERGENCE_FIELDS = ["l_max", "n_max", "energy", "s_linear", "s_von_neumann"]

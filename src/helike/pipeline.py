@@ -128,9 +128,7 @@ class RunConfig:
     order: int = DEFAULT_ORDER
     n_splines: int | None = None     # default: max(n_max + 4, order + 1)
     r_max: float | None = None       # default: default_box_radius(z)
-    grid: str = "exponential"
     gamma: float | None = None       # default: default_gamma(r_max)
-    quad_points: int | None = None   # default: order + 1
 
     def resolve(self) -> "RunConfig":
         r = self.r_max if self.r_max is not None else default_box_radius(self.z)
@@ -140,8 +138,6 @@ class RunConfig:
                        else max(self.n_max + EXTRA_SPLINES, self.order + 1)),
             r_max=r,
             gamma=self.gamma if self.gamma is not None else default_gamma(r),
-            quad_points=(self.quad_points if self.quad_points is not None
-                         else self.order + 1),
         )
 
     def validate(self) -> None:
@@ -225,9 +221,8 @@ def build_context(config: RunConfig,
     config.validate()
     res = config.resolve()
     targets = _targets(res, states)
-    knots = make_knots(res.r_max, res.n_splines, res.order,
-                       grid=res.grid, gamma=res.gamma)
-    basis = BSplineBasis(knots, quad_order=res.quad_points)
+    knots = make_knots(res.r_max, res.n_splines, res.order, gamma=res.gamma)
+    basis = BSplineBasis(knots)
     orbitals = build_orbital_set(basis, res.z, res.n_max, res.l_max)
     served = {}
     if targets:
@@ -457,16 +452,15 @@ SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 def _scaled_basis(config: RunConfig) -> tuple | None:
     """What fixes config's basis in rho = Z r; None if config is invalid.
 
-    The knots are r_max times a profile set by the grid, gamma and
-    n_splines.
+    The knots are r_max times an exponential profile set by gamma,
+    n_splines and order, and each cell holds order + 1 quadrature points.
     """
     try:
         config.validate()
     except InvalidParameterError:
         return None
     res = config.resolve()
-    return (res.z * res.r_max, res.gamma, res.grid, res.n_splines,
-            res.order, res.quad_points)
+    return (res.z * res.r_max, res.gamma, res.n_splines, res.order)
 
 
 def _same_basis(a: tuple | None, b: tuple | None) -> bool:
@@ -491,13 +485,15 @@ def run_zscan(config: RunConfig | None = None, charges=None,
     .failures instead of aborting the scan, one per state when the
     charge's solve fails, and the next charge then builds its own context.
     charges=None / states=None mean the default grid and both 1s2s terms;
-    an empty list is an InvalidParameterError.
+    an empty list is an InvalidParameterError.  A repeated state spec is
+    kept once, in its first position.
     """
     base = config or RunConfig(**SCAN_DEFAULTS)
     if charges is None:
         charges = default_scan_charges()
     charges = sorted(set(float(z) for z in charges))
-    states = ["1s2s-1S", "1s2s-3S"] if states is None else list(states)
+    states = (["1s2s-1S", "1s2s-3S"] if states is None
+              else list(dict.fromkeys(states)))
     if not charges or not states:
         raise InvalidParameterError("a scan needs at least one charge and "
                                     "one state")

@@ -23,6 +23,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     rows = read_csv(tmp_path / "state.csv")
     assert len(rows) == 1
     assert rows[0]["state"] == "1s2s-3S"
+    # the basis has one knot and quadrature policy, so no column for either
+    assert not {"grid", "quad_points"} & set(rows[0])
     assert rows[0]["r_max"] == 80.0
     # the CSV keeps 12 significant digits
     assert abs(rows[0]["gamma"] - default_gamma(80.0)) < 1e-10
@@ -110,6 +112,7 @@ def test_zscan_verb_with_svg(tmp_path):
     assert code == 0
     rows = read_csv(tmp_path / "zscan.csv")
     assert len(rows) == 4
+    assert not {"grid", "quad_points"} & set(rows[0])
     # the payload echoes the states a scan solves, not RunConfig.state
     payload = json.loads((tmp_path / "zscan.json").read_text())
     assert payload["states"] == ["1s2s-1S", "1s2s-3S"]
@@ -158,8 +161,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert run(["solve", "--z", "2", "--state", "bogus",
                 "--out", str(tmp_path)]) == 1
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown_key = 1\n")
-    assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    # the basis policy fixes the knot layout and quadrature: no key sets them
+    for line in ("unknown_key = 1", "grid = linear", "quad_points = 10"):
+        cfg.write_text(line + "\n")
+        assert run(["solve", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 1
+        assert "unknown key" in capsys.readouterr().err
     # gamma = 0 would put NaN knots on the exponential grid
     cfg.write_text("gamma = 0\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1

@@ -76,8 +76,7 @@ def scan():
 def test_solve_rows_echo_config(report):
     row = solve_rows(report)[0]
     # every resolved config field shows up in the output row
-    for key in ("l_max", "n_max", "order", "n_splines", "r_max", "grid",
-                "gamma", "quad_points"):
+    for key in ("l_max", "n_max", "order", "n_splines", "r_max", "gamma"):
         assert row[key] is not None
     assert row["state"] == "1s2s-3S"
     assert row["xi_polarized"] is not None

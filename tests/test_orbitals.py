@@ -111,8 +111,7 @@ def test_cholesky_reduction_matches_generalized_eigh(z):
     # themselves even between two of scipy's own drivers (gv and gvx).
     res = RunConfig(z=z, l_max=3, n_max=25).resolve()
     basis = BSplineBasis(make_knots(res.r_max, res.n_splines, res.order,
-                                    gamma=res.gamma),
-                         quad_order=res.quad_points)
+                                    gamma=res.gamma))
     S = interior_overlap(basis)
     for l in range(4):
         orb = solve_orbitals(basis, z, l, res.n_max)

@@ -62,7 +62,11 @@ def test_config_resolution_and_validation():
     config = RunConfig(z=2.0, n_max=15).resolve()
     assert config.n_splines == 19
     assert config.r_max == 60.0
-    assert config.quad_points == 8
+    # the resolved basis: order + 1 quadrature points in each of its cells
+    basis = build_context(config, states=()).orbitals.basis
+    assert basis.n_splines == 19 and basis.r_max == 60.0
+    assert np.array_equal(np.bincount(basis.quad_cell),
+                          np.full(basis.n_cells, config.order + 1))
     RunConfig(z=2.0).validate()
     with pytest.raises(InvalidParameterError):
         RunConfig(z=0.5).validate()
@@ -413,6 +417,17 @@ def test_zscan_out_of_basis_state_fails_alone():
     assert both.rows == alone.rows and len(both.rows) == 2
     assert [(z, s) for z, s, _ in both.failures] == \
         [(1.0, "1s9s-1S"), (2.0, "1s9s-1S")]
+
+
+def test_zscan_keeps_each_state_once():
+    # a repeated spec keeps its first position and gives one row per charge
+    config = RunConfig(l_max=1, n_max=5)
+    scan = run_zscan(config, charges=[1.0, 2.0],
+                     states=["1s2s-3S", "1s2s-1S", "1s2s-3S"])
+    once = run_zscan(config, charges=[1.0, 2.0],
+                     states=["1s2s-3S", "1s2s-1S"])
+    assert scan.states == ["1s2s-3S", "1s2s-1S"]
+    assert scan.rows == once.rows and len(scan.rows) == 4
 
 
 def test_context_computes_each_rank_block_once(monkeypatch):
