@@ -11,13 +11,17 @@ functions is
 with f_ab = 1/sqrt(1 + delta_ab) carrying the same-orbital singlet 1/sqrt(2)
 normalization and c_k the L = 0 closed form of coupling_coefficient.  The
 sum over k is linear in R^k, so it is folded into the radial integrals:
-one block sum_k c_k R^k per (la, lc).  Only the (-1)^S sign and the
-configuration list depend on the spin, so assemble_hamiltonian builds the
-singlet and the triplet H together: each folded block is computed once
-and feeds both spins.  The angular factor, the fold and the (-1)^S
-exchange sign are fixed against the brute-force magnetic-quantum-number
-oracle in crosscheck.py, which shares no angular code with this module
-and sums the ranks one at a time.
+per (la, lc) one rank sum W of inner integrals and one set of outer pair
+densities U (SlaterIntegralTable.folded_block).  Their product is taken
+band by band of H's rows, never as a whole block: both R^k terms of a
+row (ab) with a <= b read only the products of a's outer pairs with the
+inner pairs of b >= a.  Only the (-1)^S sign and the configuration list
+depend on the spin, so assemble_hamiltonian builds the singlet and the
+triplet H together: each band is computed once and feeds both spins.
+The angular factor, the fold and the (-1)^S exchange sign are fixed
+against the brute-force magnetic-quantum-number oracle in crosscheck.py,
+which shares no angular code with this module and sums the ranks one at
+a time.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import InconsistentInputError, InvalidParameterError
 from .orbitals import RadialOrbitalSet
-from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
+from .slater import SlaterIntegralTable
 
 SPECTROSCOPIC = "spdfghiklmnoq"
 
@@ -146,6 +150,10 @@ def multipole_ranks(l: int, lp: int) -> range:
 
 
 MEMORY_BUDGET_BYTES = 4 << 30
+# rows per block of a pass over a matrix: a band of the CI assembly's pair
+# products, a tile of the symmetry check, a chunk of the convergence
+# table's compaction
+ROW_BLOCK = 256
 
 
 def assemble_hamiltonian(config_lists: Sequence[ConfigList],
@@ -156,10 +164,16 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
 
     The lists (typically the singlet and the triplet one) must share l_max
     and n_max.  The one-body energies come from slater.orbitals, the set
-    the table was built on.  Each folded block sum_k c_k R^k is computed
-    once and feeds every list: its direct and exchange gathers are taken
-    per list with that list's blocks() indices and (-1)^S sign, so each H
-    is bit-identical to its one-list assembly.
+    the table was built on.  Per (la, lc) the table's factors U and W are
+    multiplied in bands of the first orbital a: a band's rows (a, c) take
+    M = (U W^T + W U^T) / 2 over the columns (b, d) with b at or past the
+    band, both quadrature orientations averaged.  Each list gathers its
+    rows (ab), a in the band, from M: the direct term M[(a, c), (b, d)]
+    and the exchange term M[(a, d), (b, c)] with its (-1)^S sign, each one
+    take by flat offset.  Every band feeds every list, so each H is
+    bit-identical to its one-list assembly.  An la != lc block is mirrored
+    into H; an la == lc block is averaged with its transpose, so H is
+    exactly symmetric.
     """
     if len({(c.l_max, c.n_max) for c in config_lists}) != 1:
         raise InconsistentInputError(
@@ -167,22 +181,30 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
         )
     l_max = config_lists[0].l_max
     blocks = [c.blocks() for c in config_lists]
-    # Peak estimate: every H, plus the larger of what folded_block holds at
-    # once (the table and its working set) and the table beside the
-    # gathers' phase at l = 0 (the most configurations): the folded block,
-    # one list's direct gather, its exchange gather and the signed exchange.
+    # Peak estimate: every H, plus the largest of three phases at l = 0,
+    # which has the most orbitals and configurations: folded_block's (the
+    # table, the rank sum and one rank_block call); the table, U and W
+    # beside one band's two products (at most `band` rows of M) and one
+    # list's direct gather, its exchange gather and their offsets (at
+    # most `band` rows of H); the table beside the copied transpose of a
+    # diagonal block.
     h_bytes = 8 * sum(len(c) ** 2 for c in config_lists)
     rk_bytes = slater.peak_bytes()
     n0 = slater.orbitals.orbitals(0).n_orbitals
-    gather_bytes = (slater.nbytes + 8 * n0**4
-                    + 24 * max(b[0][0].stop for b in blocks) ** 2)
-    need = h_bytes + max(rk_bytes, gather_bytes)
+    n_cfg = max(b[0][0].stop for b in blocks)
+    band = max(ROW_BLOCK // 2, n0)
+    band_bytes = slater.nbytes + 8 * (2 * n0**2 * len(slater.r)
+                                      + 2 * band * n0**2 + 3 * band * n_cfg)
+    need = h_bytes + max(rk_bytes, band_bytes,
+                         slater.nbytes + 8 * n_cfg**2)
     if need > memory_budget:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
-            f"R^k working set {rk_bytes}, table, block and gathers "
-            f"{gather_bytes} (budget {memory_budget}); reduce l_max/n_max"
+            f"R^k working set {rk_bytes}, table, pair factors, band and "
+            f"gathers {band_bytes} (budget {memory_budget}); reduce "
+            "l_max/n_max"
         )
+    f_pair = 1.0 / np.sqrt(2.0)   # same-orbital singlet normalization
     Hs = [np.zeros((len(c), len(c))) for c in config_lists]
     for la in range(l_max + 1):
         for lc in range(la, l_max + 1):
@@ -193,23 +215,43 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                      if len(b[la][1]) and len(b[lc][1])]
             if not parts:
                 continue
-            G = slater.folded_block(
+            U, W = slater.folded_block(
                 [(k, coupling_coefficient(la, lc, k))
                  for k in multipole_ranks(la, lc)], la, lc)
-            for H, (rows, A, B), (cols, C, D), xsign in parts:
-                block = G[A[:, None], C[None, :], B[:, None], D[None, :]]
-                block += xsign * G[A[:, None], D[None, :], B[:, None],
-                                   C[None, :]]
-                f_ab = np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)
-                f_cd = np.where(C == D, 1.0 / np.sqrt(2.0), 1.0)
-                block *= f_ab[:, None] * f_cd[None, :]
-                if lc != la:
-                    H[rows, cols] = block
-                    H[cols, rows] = block.T
-                else:
-                    H[rows, cols] = 0.5 * (block + block.T)
-                del block  # no gather outlives its list
-            del G  # free before the next block is built
+            na = slater.orbitals.orbitals(la).n_orbitals
+            nc = len(U) // na
+            # values of a per band: M and the product added to it hold
+            # ROW_BLOCK rows of (a, c) together
+            step = max(1, ROW_BLOCK // (2 * nc))
+            for a0 in range(0, na, step):
+                # M[(a, c), (b, d)] for a0 <= a < a0 + step and b >= a0
+                M = U[a0 * nc:(a0 + step) * nc] @ W[a0 * nc:].T
+                M += W[a0 * nc:(a0 + step) * nc] @ U[a0 * nc:].T
+                M *= 0.5
+                width = M.shape[1]
+                for H, (rows, A, B), (cols, C, D), xsign in parts:
+                    lo, hi = np.searchsorted(A, (a0, a0 + step))
+                    if lo == hi:
+                        continue
+                    # flat offset of M[(a, c), (b, d)] is
+                    # ((a - a0) nc + c) width + (b - a0) nc + d
+                    a, b = A[lo:hi] - a0, B[lo:hi] - a0
+                    ab = ((a * width + b) * nc)[:, None]
+                    block = M.take(ab + (C * width + D))
+                    block += xsign * M.take(ab + (D * width + C))
+                    block *= (np.where(a == b, f_pair, 1.0)[:, None]
+                              * np.where(C == D, f_pair, 1.0))
+                    band_rows = slice(rows.start + lo, rows.start + hi)
+                    H[band_rows, cols] = block
+                    if lc != la:
+                        H[cols, band_rows] = block.T
+                    del block  # no gather outlives its list
+            del U, W, M  # free before the next block's factors are built
+            if lc == la:
+                for H, (rows, _, _), _, _ in parts:
+                    Hl = H[rows, rows]
+                    Hl += Hl.T   # numpy reads a copy of the overlapping Hl.T
+                    Hl *= 0.5
     for H, c in zip(Hs, config_lists):
         H[np.diag_indices_from(H)] += one_body_diagonal(c, slater.orbitals)
     return Hs
@@ -312,7 +354,7 @@ def _eigh(H: np.ndarray) -> Spectrum:
 def _is_symmetric(H: np.ndarray) -> bool:
     # tile pair by tile pair: at dim 4340 H == H.T at once, which walks H.T
     # across rows, took 0.15 s on a 2-vCPU Xeon and the tiles 0.04 s
-    t = SYMMETRIZE_TILE
+    t = ROW_BLOCK
     return H.ndim == 2 and H.shape[0] == H.shape[1] and all(
         np.array_equal(H[i:i + t, j:j + t], H[j:j + t, i:i + t].T)
         for i in range(0, len(H), t) for j in range(i, len(H), t))

@@ -4,7 +4,7 @@ Everything here recomputes a production quantity by a slower, more explicit
 route: magnetic-quantum-number summations over Clebsch-Gordan expansions
 instead of closed-form recoupling, the explicit (n, l, m)-resolved reduced
 density matrix instead of the per-l block construction, and scalar radial
-Slater integrals, one rank at a time, instead of folded blocks.  The
+Slater integrals, one rank at a time, instead of rank sums.  The
 production code never calls into this module; the `selftest` CLI verb and
 the test suite do.
 
@@ -84,7 +84,7 @@ def slater_integral(slater: SlaterIntegralTable, k: int, a, b, c, d,
     Canonicalized on the exact symmetries R^k(ab,cd) = R^k(ba,dc)
     = R^k(cd,ab) so that all four give the same float.  The two
     quadrature orientations (which electron sits on the outer grid) are
-    averaged, as the symmetrization of folded_block does.  The inner
+    averaged, as the CI assembly's band products average them.  The inner
     integral is rank_block's, which takes the outer point's own cell
     through that cell's local B-splines; the outer integral reads the
     table's main-grid samples.  blocks, when given, keeps each

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bspline import BSplineBasis, make_knots
 from .ci import (
+    ROW_BLOCK,
     CIState,
     ConfigList,
     build_config_list,
@@ -46,7 +47,7 @@ from .entanglement import (
 )
 from .errors import HelikeError, InvalidParameterError
 from .orbitals import RadialOrbitalSet, build_orbital_set
-from .slater import SYMMETRIZE_TILE, SlaterIntegralTable
+from .slater import SlaterIntegralTable
 
 DEFAULT_ORDER = 7
 MAX_BOX_RADIUS = 1200.0
@@ -362,7 +363,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
         raise InvalidParameterError(
             f"no cell of l {l_values} x n {n_values} has l_max < n_max "
             f"and n_max >= {pair[1]}, the target's n2")
-    big = replace(config, l_max=min(l_values[-1], n_cuts[-1] - 1),
+    big = replace(config, l_max=max(l for l in l_values if l < n_cuts[-1]),
                   n_max=n_cuts[-1])
     ctx = build_context(big, ())   # its orbitals only
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
@@ -381,17 +382,18 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
             # written, and chunk [i, i + t) writes below keep[i + t]*n,
             # where the first row not yet read starts: no source is
             # overwritten before it is read
-            for i in range(0, m, SYMMETRIZE_TILE):
-                chunk = keep[i:i + SYMMETRIZE_TILE]
+            for i in range(0, m, ROW_BLOCK):
+                chunk = keep[i:i + ROW_BLOCK]
                 flat[i * m:(i + len(chunk)) * m] = \
                     Hn[np.ix_(chunk, keep)].ravel()
             Hn = flat[:m * m].reshape(m, m)
             kept = kept[keep]
+        column = [cfgs[i] for i in kept]   # each cell's list is a prefix
         l_cuts = [l for l in l_values if l < n_cut]
         leads = np.searchsorted(ls[kept], l_cuts, side="right")
         for l_cut, lead in zip(l_cuts, leads):
             sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
-                             configs=[cfgs[i] for i in kept[:lead]])
+                             configs=column[:lead])
             state = lowest_states(Hn[:lead, :lead], sub, [pair])[0]
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(
@@ -485,20 +487,22 @@ def run_zscan(config: RunConfig | None = None, charges=None,
     .failures instead of aborting the scan, one per state when the
     charge's solve fails, and the next charge then builds its own context.
     charges=None / states=None mean the default grid and both 1s2s terms;
-    an empty list is an InvalidParameterError.  A repeated state spec is
-    kept once, in its first position.
+    an empty list is an InvalidParameterError.  Specs that name one state
+    ('1s2s', '1s2s-1S', '2s1s-singlet') are kept once, in the first one's
+    spelling and position.
     """
     base = config or RunConfig(**SCAN_DEFAULTS)
     if charges is None:
         charges = default_scan_charges()
     charges = sorted(set(float(z) for z in charges))
-    states = (["1s2s-1S", "1s2s-3S"] if states is None
-              else list(dict.fromkeys(states)))
+    unique = {}
+    for s in ["1s2s-1S", "1s2s-3S"] if states is None else states:
+        # a malformed state fails the scan, not each charge
+        unique.setdefault(parse_state(s), s)
+    states = list(unique.values())
     if not charges or not states:
         raise InvalidParameterError("a scan needs at least one charge and "
                                     "one state")
-    for s in states:   # a malformed state fails the scan, not each charge
-        parse_state(s)
 
     keys = [_scaled_basis(replace(base, z=z)) for z in charges]
     shares = [_same_basis(a, b) for a, b in zip(keys, keys[1:])] + [False]

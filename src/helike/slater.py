@@ -23,9 +23,10 @@ kernel geometry r_< / r_> and r_>.
 
 Only the inner integral depends on k.  `rank_block` returns it for one
 rank and one pair of l's; `folded_block` sums the ranks a CI block needs,
-weighted by their angular factors, and takes the outer integral of the sum
-as one matrix product.  Neither keeps anything; the scalar oracle in
-crosscheck.py reads `rank_block` too.
+weighted by their angular factors, and returns that sum with the outer
+pair densities: the two factors of the block's outer integral, whose
+product the CI assembly takes band by band.  Neither keeps anything; the
+scalar oracle in crosscheck.py reads `rank_block` too.
 """
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ import numpy as np
 from .orbitals import RadialOrbitalSet
 
 SUBCELL_POINTS = 12
-# folded_block symmetrizes in tiles of this many rows and columns
-SYMMETRIZE_TILE = 256
 
 
 class SlaterIntegralTable:
@@ -111,21 +110,17 @@ class SlaterIntegralTable:
     def peak_bytes(self) -> int:
         """Most that folded_block holds at once, in bytes.
 
-        The table's arrays, plus the larger of folded_block's phases at
-        l = 0, which has the most orbitals: the rank sum W beside one
-        rank_block call (its V, the pair product or the own-cell part, the
-        kernel matrix K, and the own cell's per-point products O_k and
-        C_b O_k); then the block beside W and U, or beside two
-        symmetrization tiles once W and U are freed (a tile lives until
-        the next one is built).
+        The table's arrays, plus the rank sum W at l = 0, which has the
+        most orbitals, beside one rank_block call: its V, the pair product
+        or the own-cell part, the kernel matrix K, and the own cell's
+        per-point products O_k and C_b O_k.  The pair densities U are
+        formed after the last rank, beside W alone.
         """
         nq, order = len(self.r), self.basis.order
         n0 = self.orbitals.orbitals(0).n_orbitals
         pairs = n0**2 * nq
         ranks = 3 * pairs + nq**2 + nq * order * (order + n0)
-        tile = min(SYMMETRIZE_TILE, n0**2) ** 2
-        outer = n0**4 + max(2 * pairs, 2 * tile)
-        return self.nbytes + 8 * max(ranks, outer)
+        return self.nbytes + 8 * ranks
 
     def rank_block(self, k: int, la: int, lc: int) -> np.ndarray:
         """V[b, d, q] = rank-k inner integral for b in la, d in lc at r1 = r_q.
@@ -151,34 +146,25 @@ class SlaterIntegralTable:
         return V
 
     def folded_block(self, terms: list[tuple[int, float]], la: int,
-                     lc: int) -> np.ndarray:
-        """G = sum_k c_k R^k for electron pairs drawn from (la, lc).
+                     lc: int) -> tuple[np.ndarray, np.ndarray]:
+        """The two factors of sum_k c_k R^k for electron pairs from (la, lc).
 
-        terms is [(k, c_k), ...].  Returns G with G[a, c, b, d] =
-        sum_k c_k R^k( (a,la)(b,la), (c,lc)(d,lc) ) where a, b index
-        orbitals of la and c, d orbitals of lc.  Only the inner integral
-        depends on k, so the ranks are summed there, in place, and the
-        outer product over the pair (a, c) is taken once.  By the symmetry
-        of the integrand G[a, c, b, d] == G[b, d, a, c]; the result is
-        symmetrized so this holds exactly.
+        terms is [(k, c_k), ...].  Returns (U, W), each (na * nc, Q) with
+        the pair (a, c) of an la orbital a and an lc orbital c in row
+        a * nc + c: U[(a, c), q] = w_q chi_a(r_q) chi_c(r_q) is the outer
+        pair density and W[(b, d), q] = sum_k c_k V_k[b, d, q] the
+        rank-summed inner integral at r1 = r_q.  Only the inner integral
+        depends on k, so the ranks are summed there, in place.  Then
+        U_ac . W_bd = sum_k c_k R^k( (a,la)(b,la), (c,lc)(d,lc) ) with the
+        pair (a, c) on the outer grid; the other orientation U_bd . W_ac
+        gives the same integral but for rounding and quadrature error, and
+        the CI assembly takes the average of the two.
         """
         (k, ck), *rest = terms
         W = self.rank_block(k, la, lc) * ck
         for k, ck in rest:
             W += ck * self.rank_block(k, la, lc)
         Xa, Xc = self._samples[la], self._samples[lc]
-        na, nc = Xa.shape[0], Xc.shape[0]
-        U = np.einsum("aq,cq->acq", Xa * self.w, Xc).reshape(na * nc, -1)
-        M = U @ W.reshape(na * nc, -1).T
-        del U, W  # the tile pass reads neither; peak_bytes counts on it
-        # in place, one tile pair at a time: no second full-size copy;
-        # (a + b) * 0.5 is the same float for both halves
-        for i in range(0, len(M), SYMMETRIZE_TILE):
-            for j in range(i, len(M), SYMMETRIZE_TILE):
-                upper = M[i:i + SYMMETRIZE_TILE, j:j + SYMMETRIZE_TILE]
-                lower = M[j:j + SYMMETRIZE_TILE, i:i + SYMMETRIZE_TILE]
-                tile = upper + lower.T
-                tile *= 0.5
-                upper[...] = tile
-                lower[...] = tile.T
-        return M.reshape(na, nc, na, nc)
+        U = np.einsum("aq,cq->acq", Xa * self.w, Xc)
+        nq = len(self.r)
+        return U.reshape(-1, nq), W.reshape(-1, nq)

@@ -86,9 +86,8 @@ def test_memory_budget(toy):
     configs = build_config_list(1, 3, 0)
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs], slater, memory_budget=8)
-    # room for H but not for H plus the largest R^k block
-    n_orb = slater.orbitals.orbitals(0).n_orbitals
-    budget = 8 * len(configs) ** 2 + 8 * n_orb**4 - 1
+    # room for H but not for H plus the table
+    budget = 8 * len(configs) ** 2 + slater.nbytes - 1
     with pytest.raises(MemoryError):
         assemble_hamiltonian([configs], slater,
                              memory_budget=budget)
@@ -99,9 +98,10 @@ def test_memory_budget(toy):
     # sub-cell nodes and weights), then the largest of three phases, with
     # n_orb^2 x Q pair arrays: the rank sum beside one rank's V, its pair
     # product or own-cell part, the Q x Q K and the own cell's O_k and
-    # C_b O_k; the block beside the rank sum and U, or beside two tiles;
-    # the block beside the direct and exchange gathers and the signed
-    # exchange
+    # C_b O_k; U and W beside a band's two products and its direct and
+    # exchange gathers and their offsets, with at most max(ROW_BLOCK / 2,
+    # n_orb) rows each; a diagonal block's copied transpose
+    n_orb = slater.orbitals.orbitals(0).n_orbitals
     n_cfg = configs.blocks()[0][0].stop
     nq, order = len(slater.r), slater.basis.order
     n_sub = 2 * SUBCELL_POINTS
@@ -110,9 +110,10 @@ def test_memory_budget(toy):
              + slater.basis.n_cells * n_samples * order
              + 2 * nq**2 + 4 * nq * n_sub)
     pairs = n_orb**2 * nq
+    band = max(ci.ROW_BLOCK // 2, n_orb)
     phases = max(3 * pairs + nq**2 + nq * order * (order + n_orb),
-                 n_orb**4 + max(2 * pairs, 2 * n_orb**4),
-                 n_orb**4 + 3 * n_cfg**2)
+                 2 * pairs + 2 * band * n_orb**2 + 3 * band * n_cfg,
+                 n_cfg**2)
     alone = 8 * (len(configs) ** 2 + table + phases)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
@@ -140,6 +141,66 @@ def test_memory_estimate_covers_traced_peak():
             tracemalloc.stop()
         with pytest.raises(MemoryError):
             assemble_hamiltonian(lists, slater, memory_budget=peak - 1)
+
+
+def _whole_block_hamiltonian(configs, slater):
+    """H from each whole block G = (U W^T + W U^T) / 2, gathered with
+    broadcast index arrays: the assembly before it went band by band."""
+    blocks = configs.blocks()
+    H = np.diag(ci.one_body_diagonal(configs, slater.orbitals))
+    xsign = -1.0 if configs.S else 1.0
+    for la, (rows, A, B) in blocks.items():
+        for lc, (cols, C, D) in blocks.items():
+            if lc < la or not len(A) or not len(C):
+                continue
+            U, W = slater.folded_block(
+                [(k, ci.coupling_coefficient(la, lc, k))
+                 for k in ci.multipole_ranks(la, lc)], la, lc)
+            na = slater.orbitals.orbitals(la).n_orbitals
+            nc = len(U) // na
+            G = (0.5 * (U @ W.T + W @ U.T)).reshape(na, nc, na, nc)
+            block = G[A[:, None], C, B[:, None], D]
+            block += xsign * G[A[:, None], D, B[:, None], C]
+            block *= (np.where(A == B, 1.0 / np.sqrt(2.0), 1.0)[:, None]
+                      * np.where(C == D, 1.0 / np.sqrt(2.0), 1.0))
+            if lc == la:
+                H[rows, cols] += 0.5 * (block + block.T)
+            else:
+                H[rows, cols] += block
+                H[cols, rows] += block.T
+    return H
+
+
+def test_banded_assembly_matches_whole_block():
+    # l0,n40's one l block spans 14 bands of a, and every block of the
+    # l4,n30 singlet several.  Each H is exactly symmetric
+    # and within 1e-14 max|H| of whole-block products and gathers
+    for l_max, n_max, spins in ((0, 40, (0, 1)), (4, 30, (0,))):
+        ctx = build_context(RunConfig(z=2.0, l_max=l_max, n_max=n_max),
+                            states=())
+        slater = SlaterIntegralTable(ctx.orbitals)
+        lists = [build_config_list(l_max, n_max, S) for S in spins]
+        n0 = ctx.orbitals.orbitals(0).n_orbitals
+        assert n0 > ci.ROW_BLOCK // (2 * n0)
+        for configs, H in zip(lists, assemble_hamiltonian(lists, slater)):
+            assert np.array_equal(H, H.T)
+            want = _whole_block_hamiltonian(configs, slater)
+            assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_assembly_holds_no_whole_block():
+    # He l0,n40: one l = 0 block of pair products is 8 n0^4 bytes (19.5
+    # MiB); the assembly's traced peak beyond H and the table stays below
+    ctx = build_context(RunConfig(z=2.0, l_max=0, n_max=40), states=())
+    n0 = ctx.orbitals.orbitals(0).n_orbitals
+    tracemalloc.start()
+    try:
+        slater = SlaterIntegralTable(ctx.orbitals)
+        (H,) = assemble_hamiltonian([build_config_list(0, 40, 0)], slater)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - H.nbytes - slater.nbytes < 8 * n0**4
 
 
 def test_both_spins_in_one_call_match_single_spin(toy):

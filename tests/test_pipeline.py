@@ -147,6 +147,24 @@ def test_run_convergence_caps_basis_at_largest_cell():
         run_convergence(config, [5], [3])
 
 
+def test_convergence_basis_stops_at_largest_kept_l(monkeypatch):
+    # l = 9 has no cell below n_max = 6, and l = 5 none below n_max = 3:
+    # the shared basis and the reported l_max stop at the largest l left
+    sizes = []
+    assemble = pipeline.assemble_hamiltonian
+
+    def recording_assemble(lists, *args):
+        sizes.extend(len(c) for c in lists)
+        return assemble(lists, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
+    config = RunConfig(z=2.0, state="ground")
+    for l_values, n_max, l_max in (([0, 1, 9], 6, 1), ([0, 5], 3, 0)):
+        result = run_convergence(config, l_values, [n_max])
+        assert result.config.l_max == l_max
+        assert sizes.pop() == len(ci.build_config_list(l_max, n_max, 0))
+
+
 def test_convergence_cells_match_submatrix_solves(monkeypatch):
     """Each cell equals a solve of its own copied submatrix of H.
 
@@ -428,6 +446,16 @@ def test_zscan_keeps_each_state_once():
                      states=["1s2s-3S", "1s2s-1S"])
     assert scan.states == ["1s2s-3S", "1s2s-1S"]
     assert scan.rows == once.rows and len(scan.rows) == 4
+
+
+def test_zscan_keeps_each_spelling_of_a_state_once():
+    # three spellings of the 1s2s singlet: one row, in the first spelling
+    config = RunConfig(l_max=1, n_max=5)
+    scan = run_zscan(config, charges=[2.0],
+                     states=["1s2s", "1s2s-1S", "2s1s-singlet"])
+    once = run_zscan(config, charges=[2.0], states=["1s2s"])
+    assert scan.states == ["1s2s"]
+    assert scan.rows == once.rows and len(scan.rows) == 1
 
 
 def test_context_computes_each_rank_block_once(monkeypatch):
