@@ -157,9 +157,7 @@ ROW_BLOCK = 256
 
 
 def assemble_hamiltonian(config_lists: Sequence[ConfigList],
-                         slater: SlaterIntegralTable,
-                         memory_budget: int = MEMORY_BUDGET_BYTES
-                         ) -> list[np.ndarray]:
+                         slater: SlaterIntegralTable) -> list[np.ndarray]:
     """Dense symmetric CI Hamiltonians, one per configuration list.
 
     The lists (typically the singlet and the triplet one) must share l_max
@@ -197,11 +195,11 @@ def assemble_hamiltonian(config_lists: Sequence[ConfigList],
                                       + 2 * band * n0**2 + 3 * band * n_cfg)
     need = h_bytes + max(rk_bytes, band_bytes,
                          slater.nbytes + 8 * n_cfg**2)
-    if need > memory_budget:
+    if need > MEMORY_BUDGET_BYTES:
         raise MemoryError(
             f"CI assembly needs an estimated {need} bytes: H {h_bytes}, "
             f"R^k working set {rk_bytes}, table, pair factors, band and "
-            f"gathers {band_bytes} (budget {memory_budget}); reduce "
+            f"gathers {band_bytes} (budget {MEMORY_BUDGET_BYTES}); reduce "
             "l_max/n_max"
         )
     f_pair = 1.0 / np.sqrt(2.0)   # same-orbital singlet normalization

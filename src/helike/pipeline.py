@@ -13,8 +13,8 @@ block.  Z scans walk a charge grid down to the critical region
 near Z = 1, enlarging the radial box as the outer electron delocalizes,
 solve all states of one charge in one basis, and never let one failed
 row abort the rest.  A charge whose basis in the scaled radius rho = Z r
-is the previous charge's (every Z >= 2 under the default box) builds no
-basis and assembles nothing: it rescales the previous charge's H, as
+is the last solved charge's (every Z >= 2 under the default box) builds
+no basis and assembles nothing: it rescales that charge's kept H, as
 H(Z) = s^2 D + s V with s = Z / Z0.  Every other charge builds its own
 context.
 """
@@ -118,8 +118,8 @@ def parse_state(text: str) -> tuple[tuple[int, int], int]:
 class RunConfig:
     """Parameters of one pipeline run; None means 'apply the default policy'.
 
-    resolve() fills every policy-dependent field so the exact numbers used
-    can be echoed into output metadata.
+    resolve() checks every field and fills every policy-dependent one, so
+    the exact numbers used can be echoed into output metadata.
     """
 
     z: float = 2.0
@@ -132,17 +132,7 @@ class RunConfig:
     gamma: float | None = None       # default: default_gamma(r_max)
 
     def resolve(self) -> "RunConfig":
-        r = self.r_max if self.r_max is not None else default_box_radius(self.z)
-        return replace(
-            self,
-            n_splines=(self.n_splines if self.n_splines is not None
-                       else max(self.n_max + EXTRA_SPLINES, self.order + 1)),
-            r_max=r,
-            gamma=self.gamma if self.gamma is not None else default_gamma(r),
-        )
-
-    def validate(self) -> None:
-        # before resolve(), whose box and gamma policies need both in range
+        # before the box and gamma policies, which need these in range
         if not 1.0 <= self.z < math.inf:
             raise InvalidParameterError(
                 f"Z must be finite and >= 1, got {self.z}")
@@ -152,7 +142,14 @@ class RunConfig:
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise InvalidParameterError(
                 f"gamma must be finite and positive, got {self.gamma}")
-        res = self.resolve()
+        r = self.r_max if self.r_max is not None else default_box_radius(self.z)
+        res = replace(
+            self,
+            n_splines=(self.n_splines if self.n_splines is not None
+                       else max(self.n_max + EXTRA_SPLINES, self.order + 1)),
+            r_max=r,
+            gamma=self.gamma if self.gamma is not None else default_gamma(r),
+        )
         if not 0 <= res.l_max < res.n_max:
             raise InvalidParameterError(
                 f"need 0 <= l_max < n_max, got ({res.l_max}, {res.n_max})"
@@ -165,6 +162,7 @@ class RunConfig:
                 "with boundary splines removed"
             )
         parse_state(res.state)
+        return res
 
 
 def lowest_states(H: np.ndarray, configs: ConfigList,
@@ -208,18 +206,18 @@ def build_context(config: RunConfig,
                   keep: list | None = None) -> PipelineContext:
     """Basis and orbitals for config, and every given state solved in them.
 
-    The states are parsed before any orbital solve, so a malformed one is
-    an InvalidParameterError here.  One assemble_hamiltonian call builds
+    config is resolved, and so checked, once.  The states are parsed
+    before any orbital solve, so a malformed one is an
+    InvalidParameterError here.  One assemble_hamiltonian call builds
     H for every spin the states inside the n_max basis need, so each R^k
     block is computed once per charge; its R^k table and orbital samples
     go when the assembly returns.  One lowest_states call per spin then
     picks all of that spin's states, and its H is dropped before the next
     spin is solved, unless keep is a list: each spin's (configs, H, one-body
-    diagonal) is then appended to it, for a Z-scan's next charge to
+    diagonal) is then appended to it, for a Z-scan's later charges to
     rescale.  A state outside the basis costs no table, assembly or root,
     and the context does not serve it.
     """
-    config.validate()
     res = config.resolve()
     targets = _targets(res, states)
     knots = make_knots(res.r_max, res.n_splines, res.order, gamma=res.gamma)
@@ -402,7 +400,7 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
                 s_von_neumann=von_neumann_entropy(rdm),
             ))
     rows.sort(key=lambda r: (r.l_max, r.n_max))
-    return ConvergenceResult(config=big.resolve(), rows=rows)
+    return ConvergenceResult(config=ctx.config, rows=rows)
 
 
 def default_scan_charges() -> list[float]:
@@ -451,25 +449,29 @@ SCAN_DEFAULTS = {"l_max": 2, "n_max": 15}
 SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 
 
-def _scaled_basis(config: RunConfig) -> tuple | None:
-    """What fixes config's basis in rho = Z r; None if config is invalid.
+def _same_basis(a: RunConfig, b: RunConfig) -> bool:
+    """Whether resolved configs a and b have one basis in rho = Z r.
 
     The knots are r_max times an exponential profile set by gamma,
     n_splines and order, and each cell holds order + 1 quadrature points.
+    Z r_max is compared to rounding: under the default box Z * (120 / Z)
+    is 120 within a few ulps.
     """
-    try:
-        config.validate()
-    except InvalidParameterError:
-        return None
-    res = config.resolve()
-    return (res.z * res.r_max, res.gamma, res.n_splines, res.order)
+    return ((a.gamma, a.n_splines, a.order) == (b.gamma, b.n_splines, b.order)
+            and math.isclose(a.z * a.r_max, b.z * b.r_max, rel_tol=1e-14))
 
 
-def _same_basis(a: tuple | None, b: tuple | None) -> bool:
-    # Z r_max to rounding: under the default box Z * (120 / Z) is 120
-    # within a few ulps
-    return (a is not None and b is not None and a[1:] == b[1:]
-            and math.isclose(a[0], b[0], rel_tol=1e-14))
+def _rescaled(kept, s: float, targets) -> dict:
+    """Each kept spin's H rescaled in place by s, and its targets picked.
+
+    A function, so no loop variable keeps an H alive past the scan's
+    next assembly.
+    """
+    served = {}
+    for cfgs, H, D in kept:
+        rescale_hamiltonian(H, D, s)
+        served.update(_picked(H, cfgs, targets[cfgs.S]))
+    return served
 
 
 def run_zscan(config: RunConfig | None = None, charges=None,
@@ -477,15 +479,19 @@ def run_zscan(config: RunConfig | None = None, charges=None,
     """Solve the requested states on a charge grid; keep going on failures.
 
     The box radius follows default_box_radius(z) unless the config pins
-    r_max.  A charge whose basis in rho = Z r is the previous, solved
-    charge's (every Z >= 2 under the default box; none with a pinned r_max)
-    builds no basis: it rescales that charge's H of each spin in place and
-    solves its states there.  A charge keeps its H only while the next
-    charge shares its basis.  Every other charge builds one context for all
-    states.  Each row reports its own charge's r_max and gamma; rows come
-    back ordered by Z then state.  Failed (Z, state) pairs are collected in
-    .failures instead of aborting the scan, one per state when the
-    charge's solve fails, and the next charge then builds its own context.
+    r_max.  The base config is resolved once before the first charge, so
+    a bad r_max, gamma, n_splines, l_max, n_max or order is an
+    InvalidParameterError for the scan; only z varies by charge.  The
+    charges are walked once, upward.  A charge whose basis in rho = Z r is
+    the last solved charge's (every Z >= 2 under the default box; none
+    with a pinned r_max) builds no basis: it rescales that charge's kept
+    H of each spin in place and solves its states there.  Every other
+    charge drops the kept H and builds one context for all states, whose
+    H it keeps in turn.  Each row reports its own charge's r_max and
+    gamma; rows come back ordered by Z then state.  Failed (Z, state)
+    pairs are collected in .failures instead of aborting the scan, one
+    per state when the charge's solve fails, and the next charge then
+    builds its own context.
     charges=None / states=None mean the default grid and both 1s2s terms;
     an empty list is an InvalidParameterError.  Specs that name one state
     ('1s2s', '1s2s-1S', '2s1s-singlet') are kept once, in the first one's
@@ -504,34 +510,26 @@ def run_zscan(config: RunConfig | None = None, charges=None,
         raise InvalidParameterError("a scan needs at least one charge and "
                                     "one state")
 
-    keys = [_scaled_basis(replace(base, z=z)) for z in charges]
-    shares = [_same_basis(a, b) for a, b in zip(keys, keys[1:])] + [False]
+    checked = base.resolve()   # only z varies by charge
     rows: list[ZScanRow] = []
     failures: list[tuple[float, str, str]] = []
-    kept = None   # the previous charge's (configs, H, D) per spin
-    for i, (z, shares_next) in enumerate(zip(charges, shares)):
+    # the last solved charge's resolved config and its spins' (configs, H, D)
+    last = kept = None
+    for z in charges:
         config = replace(base, z=z)
         try:
-            if kept is not None:   # this charge shares the previous basis
-                res = config.resolve()
-                targets, served = _targets(res, states), {}
-                for cfgs, H, D in kept:
-                    rescale_hamiltonian(H, D, z / charges[i - 1])
-                    served.update(_picked(H, cfgs, targets[cfgs.S]))
-            elif shares_next:   # the next charge rescales this one's H
-                kept = []
+            if last is not None and _same_basis(last, res := config.resolve()):
+                served = _rescaled(kept, z / last.z, _targets(res, states))
+            else:
+                kept = []   # drops the last charge's H before this assembly
                 ctx = build_context(config, states, keep=kept)
                 res, served = ctx.config, ctx.states
-            else:
-                ctx = build_context(config, states)
-                res, served = ctx.config, ctx.states
         except SCAN_ERRORS as exc:
-            kept = None
+            last = kept = None
             message = f"{type(exc).__name__}: {exc}"
             failures += [(z, s, message) for s in states]
             continue
-        if not shares_next:
-            kept = None
+        last = res
         for s in states:
             try:
                 report = _report(res, served, s)
@@ -548,5 +546,5 @@ def run_zscan(config: RunConfig | None = None, charges=None,
             except SCAN_ERRORS as exc:
                 failures.append((z, s, f"{type(exc).__name__}: {exc}"))
     rows.sort(key=lambda r: (r.z, r.state))
-    return ZScanResult(config=base.resolve(), states=states,
+    return ZScanResult(config=checked, states=states,
                        rows=rows, failures=failures)

@@ -81,16 +81,22 @@ def test_hamiltonian_symmetric_and_variational(toy):
     assert diagonalize(H, len(H) - 1).complete
 
 
+def assemble_within(budget, lists, slater):
+    """assemble_hamiltonian with ci.MEMORY_BUDGET_BYTES set to budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ci, "MEMORY_BUDGET_BYTES", budget)
+        return assemble_hamiltonian(lists, slater)
+
+
 def test_memory_budget(toy):
     slater = toy
     configs = build_config_list(1, 3, 0)
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs], slater, memory_budget=8)
+        assemble_within(8, [configs], slater)
     # room for H but not for H plus the table
     budget = 8 * len(configs) ** 2 + slater.nbytes - 1
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs], slater,
-                             memory_budget=budget)
+        assemble_within(budget, [configs], slater)
     # room for the singlet build alone, but not for singlet plus triplet;
     # the R^k work counts too: the table's arrays (orbital samples on the
     # main grid, the local splines on the sub-cell nodes, each l's
@@ -117,9 +123,8 @@ def test_memory_budget(toy):
     alone = 8 * (len(configs) ** 2 + table + phases)
     triplets = build_config_list(1, 3, 1)
     with pytest.raises(MemoryError):
-        assemble_hamiltonian([configs, triplets], slater,
-                             memory_budget=alone)
-    assemble_hamiltonian([configs], slater, memory_budget=alone)
+        assemble_within(alone, [configs, triplets], slater)
+    assemble_within(alone, [configs], slater)
 
 
 def test_memory_estimate_covers_traced_peak():
@@ -140,7 +145,7 @@ def test_memory_estimate_covers_traced_peak():
         finally:
             tracemalloc.stop()
         with pytest.raises(MemoryError):
-            assemble_hamiltonian(lists, slater, memory_budget=peak - 1)
+            assemble_within(peak - 1, lists, slater)
 
 
 def _whole_block_hamiltonian(configs, slater):

@@ -198,6 +198,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # a box or charge out of range is a configuration error, not a traceback
     assert run(["solve", "--rmax", "-5", "--out", str(tmp_path)]) == 1
     assert "configuration error" in capsys.readouterr().err
+    # a scan checks its base config once: a bad box fails the scan, not
+    # each charge
+    for rmax in ("0", "-5"):
+        assert run(["zscan", "--rmax", rmax, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: r_max must be finite and positive" \
+            in err and "Traceback" not in err
     # ... and costs a scan only its own rows
     code = run(["zscan", "--charges", "inf,2", "--states", "1s2s-3S",
                 "--out", str(tmp_path)])

@@ -67,22 +67,22 @@ def test_config_resolution_and_validation():
     assert basis.n_splines == 19 and basis.r_max == 60.0
     assert np.array_equal(np.bincount(basis.quad_cell),
                           np.full(basis.n_cells, config.order + 1))
-    RunConfig(z=2.0).validate()
+    RunConfig(z=2.0).resolve()
     with pytest.raises(InvalidParameterError):
-        RunConfig(z=0.5).validate()
+        RunConfig(z=0.5).resolve()
     with pytest.raises(InvalidParameterError):
-        RunConfig(l_max=5, n_max=4).validate()
+        RunConfig(l_max=5, n_max=4).resolve()
     with pytest.raises(InvalidParameterError):
-        RunConfig(n_splines=10, n_max=15).validate()
+        RunConfig(n_splines=10, n_max=15).resolve()
     with pytest.raises(InvalidParameterError):
-        RunConfig(state="2p3p").validate()
-    # checked before resolve() feeds them to the box and gamma policies
+        RunConfig(state="2p3p").resolve()
+    # checked before the box and gamma policies see them
     for bad in ({"z": math.inf}, {"z": math.nan}, {"r_max": 0.0},
                 {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan},
                 {"gamma": 0.0}, {"gamma": -3.0}, {"gamma": math.inf},
                 {"gamma": math.nan}):
         with pytest.raises(InvalidParameterError):
-            RunConfig(**bad).validate()
+            RunConfig(**bad).resolve()
 
 
 def test_run_solve_helium_ground():
@@ -333,9 +333,10 @@ def test_run_zscan_rows_and_failures(monkeypatch):
     # context and solves every state in it
     built = []
 
-    def counting_build(config, states=("ground", "1s2s-1S", "1s2s-3S")):
+    def counting_build(config, states=("ground", "1s2s-1S", "1s2s-3S"),
+                       keep=None):
         built.append(config.z)
-        return build_context(config, states)
+        return build_context(config, states, keep)
 
     monkeypatch.setattr(pipeline, "build_context", counting_build)
     states = ["1s2s-1S", "1s2s-3S"]
@@ -424,6 +425,35 @@ def test_zscan_assembles_once_per_scaled_basis(monkeypatch):
         [(r.z, r.state, r.selection, r.r_max, r.gamma) for r in want]
     assert_allclose([r.energy for r in scan.rows],
                     [r.energy for r in want], rtol=1e-13, atol=0)
+
+
+def test_zscan_assembles_beside_no_earlier_h(monkeypatch):
+    """A scan keeps only the last solved charge's H.
+
+    It keeps that H for a later charge to rescale and drops it before the
+    next assembly.  Under the default box Z = 5, 25 and 100 rescale
+    Z = 2's H; with a pinned r_max every charge assembles.  No H outlives
+    the scan.
+    """
+    Hs, dead = [], []
+    assemble = pipeline.assemble_hamiltonian
+
+    def recording_assemble(lists, table):
+        gc.collect()
+        dead.append(all(H() is None for H in Hs))
+        out = assemble(lists, table)
+        Hs.extend(weakref.ref(H) for H in out)
+        return out
+
+    monkeypatch.setattr(pipeline, "assemble_hamiltonian", recording_assemble)
+    for config, calls in ((None, 5),
+                          (RunConfig(r_max=30.0, **SCAN_DEFAULTS), 8)):
+        Hs.clear()
+        dead.clear()
+        assert run_zscan(config, charges=SHARING_CHARGES).complete
+        assert dead == [True] * calls and len(Hs) == 2 * calls
+        gc.collect()
+        assert all(H() is None for H in Hs)
 
 
 def test_zscan_out_of_basis_state_fails_alone():
