@@ -102,26 +102,27 @@ def _over_support(t: np.ndarray, mu: np.ndarray, vals: np.ndarray):
     return lo, hi, np.divide(vals, d, out=np.zeros_like(vals), where=d > 0.0)
 
 
-def _nonzero_basis(knots: KnotSequence, r: np.ndarray,
-                   m: int) -> tuple[np.ndarray, np.ndarray]:
+def nonzero_basis(knots: KnotSequence, r: np.ndarray,
+                  m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cells and the m nonzero order-m B-spline values at each point of r.
 
     Returns (mu, vals): mu[p] indexes knots.points with t[mu] <= r < t[mu+1]
     (the last cell closed at r_max, clamped to [k-1, n-1]) and
     vals[p, j] = B_{mu[p]-m+1+j, m}(r[p]) with 0-based spline indices, for
-    m <= k.  One pass of the Cox-de Boor triangle over all points; terms
-    whose denominator is zero are dropped.
+    m <= k.  One pass of the Cox-de Boor triangle over all points, in vals
+    made before its temporaries, so a caller that keeps vals pins no heap
+    above their freed space; terms whose denominator is zero are dropped.
     """
     t = knots.points
     mu = np.searchsorted(t, r, side="right") - 1
     mu = np.clip(mu, knots.order - 1, knots.n_splines - 1)
-    vals = np.ones((len(r), 1))
+    vals = np.zeros((len(r), m))
+    vals[:, 0] = 1.0
     for j in range(1, m):
         # each order-j spline feeds two of order j+1
-        lo, hi, term = _over_support(t, mu, vals)
-        vals = np.zeros((len(r), j + 1))
-        vals[:, :-1] = (hi - r[:, None]) * term
-        vals[:, 1:] += (r[:, None] - lo) * term
+        lo, hi, term = _over_support(t, mu, vals[:, :j])
+        vals[:, :j] = (hi - r[:, None]) * term
+        vals[:, 1:j + 1] += (r[:, None] - lo) * term
     return mu, vals
 
 
@@ -164,7 +165,7 @@ class BSplineBasis:
     def eval_matrix(self, points) -> np.ndarray:
         """Dense (len(points), n_splines) matrix of basis values."""
         pts = np.asarray(points, dtype=float).ravel()
-        return self._scatter(*_nonzero_basis(self.knots, pts, self.order))
+        return self._scatter(*nonzero_basis(self.knots, pts, self.order))
 
     def deriv_matrix(self, points) -> np.ndarray:
         """Dense (len(points), n_splines) matrix of basis first derivatives.
@@ -174,7 +175,7 @@ class BSplineBasis:
         """
         k = self.order
         pts = np.asarray(points, dtype=float).ravel()
-        mu, lower = _nonzero_basis(self.knots, pts, k - 1)
+        mu, lower = nonzero_basis(self.knots, pts, k - 1)
         _, _, term = _over_support(self.knots.points, mu, lower)
         vals = np.zeros((len(pts), k))
         vals[:, 1:] = term

@@ -366,8 +366,11 @@ def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
     complete numpy.linalg.eigh decomposition, whatever top asks for.  Each
     column is signed so its largest-magnitude component is positive.
     """
-    if not _is_symmetric(H):
-        raise InconsistentInputError("Hamiltonian must be exactly symmetric")
+    if not _is_symmetric(H):   # a NaN fails it too: NaN != NaN
+        bad = H.size - np.count_nonzero(np.isfinite(H))
+        raise InconsistentInputError(
+            f"Hamiltonian has {bad} non-finite entries" if bad
+            else "Hamiltonian must be exactly symmetric")
     if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
         return davidson(H, top)
     return _eigh(H)
@@ -380,8 +383,9 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     the unit vectors of the b = max(top + 5, START_BLOCK) smallest diagonal
     entries, so its first step needs no product with H; only roots 0..top
     must converge.  Each step adds, per unconverged root, the correction
-    (theta - diag H)^-1 r, orthonormalized twice against the subspace;
-    past 4 b columns the subspace restarts on the b lowest Ritz vectors.
+    (theta - diag H)^-1 r, orthonormalized twice against the subspace.
+    A step adds at most top + 1 columns, so V and H V are allocated once,
+    with min(n, b + DAVIDSON_MAX_ITER (top + 1)) columns.
     A root has converged when ||r|| <= RESIDUAL_TOL * max(1, |theta_0|).
     Products with H are taken in row order, H V as (V^T H)^T, and the start
     block's H columns are read as rows; both equal H V only because H is
@@ -402,7 +406,8 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
     n = len(H)
     roots = top + 1
     block = min(max(roots + 4, START_BLOCK), n)
-    width = 4 * block
+    # a full subspace finds no new direction and ends the loop
+    width = min(n, block + DAVIDSON_MAX_ITER * roots)
     diag = H.diagonal()
     start = np.argsort(diag, kind="stable")[:block]
     V = np.zeros((n, width), order="F")
@@ -425,10 +430,6 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
         denom = theta[:roots][todo] - diag[:, None]
         denom[np.abs(denom) < 1e-12] = 1e-12  # theta on a diagonal entry
         T = R[:, todo] / denom
-        if m + T.shape[1] > width:  # restart on the lowest Ritz vectors
-            V[:, :block] = V[:, :m] @ s[:, :block]
-            HV[:, :block] = HV[:, :m] @ s[:, :block]
-            m = block
         grown = m
         for t in T.T:
             norm = np.linalg.norm(t)

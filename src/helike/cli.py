@@ -127,8 +127,8 @@ def _outputs(args) -> tuple[Path, list[str]]:
 
 def cmd_solve(args) -> int:
     config = _run_config(args)
-    report = pipeline.run_solve(config)
     out, fmts = _outputs(args)
+    report = pipeline.run_solve(config)
     if "csv" in fmts:
         formats.write_csv(out / "state.csv", formats.SOLVE_FIELDS,
                           formats.solve_rows(report))
@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
           f"E = {report.energy:.7f} a.u., "
           f"S_L = {report.s_linear:.7f}, S_vN = {report.s_von_neumann:.7f}")
     if report.ambiguous:
-        print(f"warning: state identified by {report.selection} ordering; "
+        print(f"warning: ambiguous state ({report.selection} pick); "
               f"best configuration weight {report.dominant_weight:.3f}",
               file=sys.stderr)
     return EXIT_OK
@@ -150,9 +150,9 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config = _run_config(args)
-    result = pipeline.run_convergence(config, _parse_list(args.lvalues, int),
-                                      _parse_list(args.nvalues, int))
+    cuts = [_parse_list(text, int) for text in (args.lvalues, args.nvalues)]
     out, fmts = _outputs(args)
+    result = pipeline.run_convergence(config, *cuts)
     if "csv" in fmts:
         formats.write_csv(out / "convergence.csv",
                           formats.CONVERGENCE_FIELDS,
@@ -171,8 +171,8 @@ def cmd_zscan(args) -> int:
     charges = (None if args.charges is None
                else _parse_list(args.charges, float))
     states = [s.strip() for s in args.states.split(",") if s.strip()]
-    result = pipeline.run_zscan(config, charges=charges, states=states)
     out, fmts = _outputs(args)
+    result = pipeline.run_zscan(config, charges=charges, states=states)
     if "csv" in fmts:
         formats.write_csv(out / "zscan.csv", formats.SCAN_FIELDS,
                           formats.scan_rows(result))

@@ -90,7 +90,8 @@ def von_neumann_entropy(spectrum: RdmSpectrum) -> float:
     g = spectrum.degeneracies
     mask = lam > EIGENVALUE_FLOOR
     lm = lam[mask]
-    return float(-np.dot(g[mask], lm * np.log2(lm)))
+    # 0.0 - x, not -x: a pure state gives +0.0, any other value its bits
+    return float(0.0 - np.dot(g[mask], lm * np.log2(lm)))
 
 
 def linear_entropy(spectrum: RdmSpectrum) -> float:

@@ -20,8 +20,6 @@ import numpy as np
 from .bspline import BSplineBasis
 from .errors import FactorizationError, InvalidParameterError
 
-ORTHO_TOL = 1e-12
-
 
 def radial_hamiltonian(basis: BSplineBasis, Z: float, l: int) -> np.ndarray:
     """One-electron Hamiltonian over the interior splines; exactly symmetric.

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bspline import nonzero_basis
 from .orbitals import RadialOrbitalSet
 
 SUBCELL_POINTS = 12
@@ -70,17 +71,14 @@ class SlaterIntegralTable:
         self._sub_ratio, self._sub_hi = geometry(self.sub_r, r[:, None])
         # chi_nl of every l on the main grid, (n_orb, n_points)
         self._samples = orbital_set.values_at(r)
-        # the `order` splines J that can be nonzero on each cell, from the
-        # cell's knot index mu (splines mu - order + 1 .. mu); their values
-        # on every outer point's sub-cell nodes, (n_points,
-        # 2 * SUBCELL_POINTS, order), and each l's coefficients on them,
-        # (n_cells, n_orb, order), which are 0 on the dropped first and
-        # last spline
+        # values of the `order` splines J = mu - order + 1 .. mu of each cell
+        # (knot index mu) on its outer points' sub-cell nodes, (n_points,
+        # 2 * SUBCELL_POINTS, order), and each l's coefficients on J,
+        # (n_cells, n_orb, order), 0 on the dropped first and last spline
+        _, local = nonzero_basis(basis.knots, self.sub_r.ravel(), basis.order)
+        self._local = local.reshape(len(r), -1, basis.order)
         mu = np.searchsorted(basis.knots.points, bp[:-1], side="right") - 1
         J = mu[:, None] + np.arange(1 - basis.order, 1)
-        B = basis.eval_matrix(self.sub_r.ravel()).reshape(len(r), -1,
-                                                          basis.n_splines)
-        self._local = np.take_along_axis(B, J[self.cell][:, None], axis=2)
         self._coeffs = {
             l: np.pad(orb.coefficients, ((0, 0), (1, 1)))[:, J]
             .transpose(1, 0, 2).copy()

@@ -451,9 +451,15 @@ def test_diagonalize_rejects_asymmetric_hamiltonian():
     assert len(H) >= ci.DAVIDSON_MIN_DIM
     skewed = H.copy()
     skewed[3, 40] = np.nextafter(skewed[3, 40], np.inf)
-    for bad in (skewed, H[:, :-1]):
+    # NaN != NaN fails the symmetry test too, but the message says why
+    nan = H.copy()
+    nan[3, 40] = nan[40, 3] = np.nan
+    nan[5, 5] = np.inf
+    for bad, why in ((skewed, "must be exactly symmetric"),
+                     (H[:, :-1], "must be exactly symmetric"),
+                     (nan, "has 3 non-finite entries")):
         for top in (None, 2):
-            with pytest.raises(InconsistentInputError):
+            with pytest.raises(InconsistentInputError, match=why):
                 diagonalize(bad, top)
 
 

@@ -1,8 +1,13 @@
 """Command-line interface: verbs, outputs, exit codes."""
+import csv
 import json
+import math
 from dataclasses import fields
 
-from helike import formats
+import numpy as np
+import pytest
+
+from helike import formats, pipeline, selftest
 from helike.cli import CONFIG_FLAGS, _run_config, build_parser, main
 from helike.pipeline import SCAN_DEFAULTS, RunConfig, default_gamma
 
@@ -221,3 +226,66 @@ def test_selftest(capsys):
 
 def test_unknown_verb():
     assert run(["frobnicate"]) == 1
+
+
+def test_pure_state_writes_positive_zero_entropy(tmp_path, capsys):
+    # one configuration, 1s1s: a pure state, whose S_vN is +0
+    assert run(["solve", "--lmax", "0", "--nmax", "1", "--out",
+                str(tmp_path), "--format", "csv", "--format", "json"]) == 0
+    assert "S_vN = 0.0000000" in capsys.readouterr().out
+    keys = ("s_von_neumann", "s_von_neumann_nats")
+    with open(tmp_path / "state.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert [row[k] for k in keys] == ["0", "0"]
+    payload = json.loads((tmp_path / "state.json").read_text())
+    assert [math.copysign(1.0, payload[k]) for k in keys] == [1.0, 1.0]
+    assert run(["converge", "--lvalues", "0", "--nvalues", "1", "--out",
+                str(tmp_path), "--format", "csv", "--format", "json"]) == 0
+    with open(tmp_path / "convergence.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["s_von_neumann"] == "0"
+    (row,) = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+    assert math.copysign(1.0, row["s_von_neumann"]) == 1.0
+
+
+@pytest.mark.parametrize("verb, name", [("solve", "run_solve"),
+                                        ("converge", "run_convergence"),
+                                        ("zscan", "run_zscan")])
+def test_unusable_output_directory_fails_before_the_run(
+        tmp_path, capsys, monkeypatch, verb, name):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --out was checked")
+
+    monkeypatch.setattr(pipeline, name, never)
+    path = tmp_path / "a-file"
+    path.write_text("")
+    assert run([verb, "--out", str(path)]) == 1
+    assert "io error" in capsys.readouterr().err
+
+
+def test_failure_exit_codes(tmp_path, capsys, monkeypatch):
+    # the assembly's memory guard: a numerical failure, before any H
+    assert run(["solve", "--lmax", "9", "--nmax", "80",
+                "--out", str(tmp_path)]) == 2
+    assert "numerical failure: MemoryError" in capsys.readouterr().err
+    # a box below any scale gives H non-finite entries: a package error
+    with np.errstate(all="ignore"):
+        assert run(["solve", "--rmax", "1e-300", "--out",
+                    str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: InconsistentInputError: Hamiltonian has" in err
+    assert "non-finite entries" in err
+    assert run(["zscan", "--charges", "2,x", "--out", str(tmp_path)]) == 1
+    assert "bad numeric list '2,x'" in capsys.readouterr().err
+    monkeypatch.setattr(selftest, "CHECKS",
+                        [("always fails", lambda: 1.0, 0.0)])
+    assert run(["selftest"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_ambiguous_state_warns(tmp_path, capsys):
+    # at Z = 1 the 1s2s singlet spreads over the box's 1sns continuum
+    assert run(["solve", "--z", "1", "--state", "1s2s-1S", "--lmax", "2",
+                "--nmax", "15", "--out", str(tmp_path)]) == 0
+    assert ("warning: ambiguous state (energy-order pick); best "
+            "configuration weight 0.333") in capsys.readouterr().err

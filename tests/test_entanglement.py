@@ -128,6 +128,8 @@ def test_entropy_unit_identities():
     assert abs(von_neumann_entropy(half) - 1.0) < 1e-14
     assert abs(linear_entropy(half) - 0.5) < 1e-14
     assert von_neumann_entropy(pure) == 0.0
+    # +0.0: a -0.0 would print as "-0" in CSV and "-0.0" in JSON
+    assert not np.signbit(von_neumann_entropy(pure))
     assert linear_entropy(pure) == 0.0
 
 

@@ -8,7 +8,6 @@ from helike import orbitals
 from helike.bspline import BSplineBasis, make_knots
 from helike.errors import FactorizationError, InvalidParameterError
 from helike.orbitals import (
-    ORTHO_TOL,
     build_orbital_set,
     hydrogenic_energy,
     interior_overlap,
@@ -18,6 +17,9 @@ from helike.orbitals import (
 from helike.pipeline import RunConfig
 
 from helpers import principal_numbers
+
+# orbital S-orthonormality, C S C^T = 1, reached by every solve
+ORTHO_TOL = 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -208,3 +208,19 @@ def test_table_holds_no_sub_cell_samples():
         n_orb = ctx.orbitals.orbitals(l).n_orbitals
         assert all(a.shape != (n_orb, nq, 2 * SUBCELL_POINTS)
                    for a in arrays)
+
+
+def test_table_samples_splines_only_on_the_main_grid(monkeypatch):
+    # the own-cell splines come straight from the Cox-de Boor pass, so no
+    # dense (sub-cell nodes x n_splines) matrix is made and gathered from
+    ctx = build_context(RunConfig(z=2.0, l_max=2, n_max=15), ())
+    sizes = []
+    eval_matrix = BSplineBasis.eval_matrix
+
+    def counted(self, points):
+        sizes.append(np.size(points))
+        return eval_matrix(self, points)
+
+    monkeypatch.setattr(BSplineBasis, "eval_matrix", counted)
+    t = SlaterIntegralTable(ctx.orbitals)
+    assert sizes and set(sizes) == {len(t.r)}
