@@ -10,7 +10,6 @@ from .bspline import BSplineBasis, KnotSequence, make_knots
 from .ci import (
     CIState,
     ConfigList,
-    Configuration,
     Spectrum,
     assemble_hamiltonian,
     build_config_list,
@@ -45,7 +44,6 @@ __all__ = [
     "BSplineBasis",
     "CIState",
     "ConfigList",
-    "Configuration",
     "ConvergenceResult",
     "HelikeError",
     "KnotSequence",

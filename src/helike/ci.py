@@ -2,6 +2,9 @@
 
 Configurations are orbital pairs (n1 l, n2 l) coupled to L = 0 (which forces
 l1 = l2) with spin S = 0 or 1; L = 0 is the only symmetry this module knows.
+A ConfigList holds its rows as three int arrays l, n1 and n2, ordered by
+l, then n1, then n2, and blocks() slices them into each l's rows and
+radial indices.
 The Hamiltonian over the normalized antisymmetrized configuration state
 functions is
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,62 +48,64 @@ AMBIGUOUS_WEIGHT = 0.5
 PROOF_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Orbital pair (n1 l)(n2 l) in canonical order n1 <= n2."""
-
-    n1: int
-    n2: int
-    l: int
-
-    def label(self) -> str:
-        s = SPECTROSCOPIC[self.l]
-        return f"{self.n1}{s}{self.n2}{s}"
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConfigList:
     """Deterministically ordered configurations for one (S, l_max, n_max).
 
-    blocks() is the one map from rows to radial indices; the CI assembly
-    and the reduced density matrix both read it.
+    Row r is the orbital pair (n1[r] l[r])(n2[r] l[r]) with n1 <= n2; the
+    three int arrays are ordered by l, then n1, then n2.  blocks() is the
+    one map from rows to radial indices; the CI assembly and the reduced
+    density matrix both read it.
     """
 
     l_max: int
     n_max: int
     S: int
-    configs: list[Configuration] = field(default_factory=list)
+    l: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.l)
 
-    def __iter__(self):
-        return iter(self.configs)
-
-    def __getitem__(self, i) -> Configuration:
-        return self.configs[i]
+    def label(self, row: int) -> str:
+        s = SPECTROSCOPIC[self.l[row]]
+        return f"{self.n1[row]}{s}{self.n2[row]}{s}"
 
     def index(self, n1: int, n2: int, l: int) -> int:
-        return self.configs.index(Configuration(min(n1, n2), max(n1, n2), l))
+        """Row of the pair (n1 l)(n2 l), in either order."""
+        hit = np.flatnonzero((self.l == l) & (self.n1 == min(n1, n2))
+                             & (self.n2 == max(n1, n2)))
+        if not len(hit):
+            s = SPECTROSCOPIC[l]
+            raise InvalidParameterError(
+                f"configuration '{n1}{s}{n2}{s}' outside this basis")
+        return int(hit[0])
+
+    def take(self, rows, l_max: int, n_max: int) -> "ConfigList":
+        """The list of the given rows, ascending, as an (l_max, n_max) list."""
+        return ConfigList(l_max, n_max, self.S,
+                          self.l[rows], self.n1[rows], self.n2[rows])
 
     def blocks(self) -> dict[int, tuple[slice, np.ndarray, np.ndarray]]:
         """{l: (rows, i, j)} for every l <= l_max, empty blocks included.
 
         rows is the contiguous slice of l's configurations (ordered by l);
-        i = n1 - l - 1 and j = n2 - l - 1 are int arrays, built in one pass.
+        i = n1 - l - 1 and j = n2 - l - 1 are int arrays.
         """
-        lij = np.array([(c.l, c.n1 - c.l - 1, c.n2 - c.l - 1)
-                        for c in self.configs], dtype=int).reshape(-1, 3)
-        bounds = np.searchsorted(lij[:, 0], np.arange(self.l_max + 2))
+        bounds = np.searchsorted(self.l, np.arange(self.l_max + 2))
         rows = [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
-        return {l: (r, lij[r, 1], lij[r, 2]) for l, r in enumerate(rows)}
+        return {l: (r, self.n1[r] - l - 1, self.n2[r] - l - 1)
+                for l, r in enumerate(rows)}
 
 
 def build_config_list(l_max: int, n_max: int, S: int) -> ConfigList:
     """All Pauli-allowed (n1 l, n2 l) pairs with l <= l_max, n <= n_max.
 
     Ordered by l, then n1, then n2.  Singlets include same-orbital pairs
-    (n1 = n2); triplets require n1 < n2.
+    (n1 = n2); triplets require n1 < n2.  Each l block is the upper
+    triangle of the (n_max - l) x (n_max - l) radial pairs, row by row,
+    diagonal included for singlets only.
     """
     if S not in (0, 1):
         raise InvalidParameterError(f"S must be 0 or 1, got {S}")
@@ -108,14 +113,11 @@ def build_config_list(l_max: int, n_max: int, S: int) -> ConfigList:
         raise InvalidParameterError(
             f"need l_max >= 0 and n_max > l_max, got ({l_max}, {n_max})"
         )
-    configs = []
-    for l in range(l_max + 1):
-        lo = l + 1
-        for n1 in range(lo, n_max + 1):
-            start = n1 if S == 0 else n1 + 1
-            for n2 in range(start, n_max + 1):
-                configs.append(Configuration(n1, n2, l))
-    return ConfigList(l_max=l_max, n_max=n_max, S=S, configs=configs)
+    pairs = [np.triu_indices(n_max - l, S) for l in range(l_max + 1)]
+    l = np.repeat(np.arange(l_max + 1), [len(i) for i, _ in pairs])
+    return ConfigList(l_max, n_max, S, l,
+                      np.concatenate([i for i, _ in pairs]) + l + 1,
+                      np.concatenate([j for _, j in pairs]) + l + 1)
 
 
 @lru_cache(maxsize=None)
@@ -328,27 +330,6 @@ RESIDUAL_TOL = 1e-10
 NEW_DIRECTION = 1e-8
 
 
-def _fix_signs(eigvec: np.ndarray) -> np.ndarray:
-    """Sign each column so its largest-magnitude component is positive.
-
-    That component is the column's largest or smallest entry; if both
-    have the largest magnitude, the one that comes first decides.  Column
-    maxima and minima take no temporary the size of eigvec, as |eigvec|
-    and an argmax down eigh's C-ordered columns would.
-    """
-    top, bottom = eigvec.max(axis=0), -eigvec.min(axis=0)
-    flip = bottom > top
-    for i in np.flatnonzero((bottom == top) & (top > 0)):
-        flip[i] = eigvec[np.argmax(np.abs(eigvec[:, i])), i] < 0
-    eigvec *= np.where(flip, -1.0, 1.0)
-    return eigvec
-
-
-def _eigh(H: np.ndarray) -> Spectrum:
-    eigval, eigvec = np.linalg.eigh(H)
-    return Spectrum(eigenvalues=eigval, eigenvectors=_fix_signs(eigvec))
-
-
 def _is_symmetric(H: np.ndarray) -> bool:
     # tile pair by tile pair: at dim 4340 H == H.T at once, which walks H.T
     # across rows, took 0.15 s on a 2-vCPU Xeon and the tiles 0.04 s
@@ -359,12 +340,12 @@ def _is_symmetric(H: np.ndarray) -> bool:
 
 
 def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
-    """Roots 0..top of H (every root with top=None), fixed eigenvector signs.
+    """Roots 0..top of H (every root with top=None), after a symmetry check.
 
     When top leaves roots out and H has at least DAVIDSON_MIN_DIM rows, the
     roots 0..top come from davidson(H, top).  Otherwise the result is the
-    complete numpy.linalg.eigh decomposition, whatever top asks for.  Each
-    column is signed so its largest-magnitude component is positive.
+    complete numpy.linalg.eigh decomposition, whatever top asks for.  An
+    eigenvector's sign is whatever the solver left; no output reads it.
     """
     if not _is_symmetric(H):   # a NaN fails it too: NaN != NaN
         bad = H.size - np.count_nonzero(np.isfinite(H))
@@ -373,7 +354,7 @@ def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
             else "Hamiltonian must be exactly symmetric")
     if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
         return davidson(H, top)
-    return _eigh(H)
+    return Spectrum(*np.linalg.eigh(H))
 
 
 def davidson(H: np.ndarray, top: int) -> Spectrum:
@@ -425,7 +406,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
             gap = float(np.diff(theta[:roots + 1]).min(initial=np.inf))
             bound = 2.0 * math.sqrt(2.0) * rnorm.max()
             return Spectrum(eigenvalues=theta[:roots],
-                            eigenvectors=_fix_signs(X),
+                            eigenvectors=X,
                             ritz_error=bound / gap if gap > 0 else math.inf)
         denom = theta[:roots][todo] - diag[:, None]
         denom[np.abs(denom) < 1e-12] = 1e-12  # theta on a diagonal entry
@@ -443,7 +424,7 @@ def davidson(H: np.ndarray, top: int) -> Spectrum:
             break
         np.matmul(V[:, m:grown].T, H, out=HV[:, m:grown].T)
         m = grown
-    return _eigh(H)
+    return Spectrum(*np.linalg.eigh(H))
 
 
 @dataclass
@@ -453,7 +434,7 @@ class CIState:
     energy: float
     coefficients: np.ndarray
     S: int
-    dominant: Configuration
+    dominant: str   # label of the largest-weight configuration
     dominant_weight: float
     ambiguous: bool = False
     selection: str = "overlap"   # or "energy-order" (1sns rank fallback)
@@ -482,14 +463,7 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
     always need the full spectrum.
     """
     n1, n2 = pair
-    target = f"{n1}s{n2}s"
-    try:
-        row = configs.index(n1, n2, 0)
-    except ValueError:
-        raise InvalidParameterError(
-            f"configuration {target!r} outside this basis"
-        ) from None
-    weights = spectrum.eigenvectors[row, :] ** 2
+    weights = spectrum.eigenvectors[configs.index(n1, n2, 0), :] ** 2
     best = int(np.argmax(weights))
     weight = float(weights[best])
     margin = PROOF_MARGIN + 2.0 * spectrum.ritz_error
@@ -505,7 +479,7 @@ def select_state(spectrum: Spectrum, configs: ConfigList,
         energy=float(spectrum.eigenvalues[best]),
         coefficients=vec,
         S=configs.S,
-        dominant=configs[dom],
+        dominant=configs.label(dom),
         dominant_weight=float(vec[dom] ** 2),
         ambiguous=ambiguous,
         selection=selection,

@@ -147,12 +147,12 @@ def _product_h_element(bra, ket, slater: SlaterIntegralTable,
     return val
 
 
-def csf_determinants(cfg, L, ML, S, MS):
-    """CSF as a list of (determinant, coefficient) with explicit m labels."""
-    terms = csf_expand(cfg.n1, cfg.l, cfg.n2, cfg.l, L, ML, S, MS)
+def csf_determinants(n1, n2, l, L, ML, S, MS):
+    """CSF (n1 l)(n2 l) as (determinant, coefficient) pairs with m labels."""
+    terms = csf_expand(n1, l, n2, l, L, ML, S, MS)
     out = []
     for m, mp, ms, msp, coeff in terms:
-        det = ((cfg.n1, cfg.l, m, ms), (cfg.n2, cfg.l, mp, msp))
+        det = ((n1, l, m, ms), (n2, l, mp, msp))
         out.append((det, coeff))
     return out
 
@@ -168,8 +168,8 @@ def hamiltonian_msum(configs: ConfigList, slater: SlaterIntegralTable,
     O(everything); for toy bases only.
     """
     expansions = [
-        csf_determinants(cfg, 0, ML, configs.S, MS)
-        for cfg in configs
+        csf_determinants(n1, n2, l, 0, ML, configs.S, MS)
+        for n1, n2, l in zip(configs.n1, configs.n2, configs.l)
     ]
     n = len(configs)
     H = np.zeros((n, n))
@@ -199,20 +199,20 @@ def rdm_m_resolved(state: CIState, configs: ConfigList):
     """
     sign = 1.0 if configs.S == 0 else -1.0
     index = {}
-    for cfg in configs:
-        for n in (cfg.n1, cfg.n2):
-            for m in range(-cfg.l, cfg.l + 1):
-                index.setdefault((n, cfg.l, m), len(index))
+    rows = list(zip(configs.n1, configs.n2, configs.l))
+    for n1, n2, l in rows:
+        for n in (n1, n2):
+            for m in range(-l, l + 1):
+                index.setdefault((n, l, m), len(index))
     dim = len(index)
     A = np.zeros((dim, dim))
-    for cfg, amp in zip(configs, state.coefficients):
+    for (n1, n2, l), amp in zip(rows, state.coefficients):
         if amp == 0.0:
             continue
-        l = cfg.l
         M = np.zeros((dim, dim))
         for m in range(-l, l + 1):
             cg = clebsch_gordan(l, m, l, -m, 0, 0)
-            M[index[(cfg.n1, l, m)], index[(cfg.n2, l, -m)]] += cg
+            M[index[(n1, l, m)], index[(n2, l, -m)]] += cg
         cfg_mat = M + sign * M.T
         cfg_mat /= np.linalg.norm(cfg_mat)
         A += amp * cfg_mat

@@ -9,10 +9,11 @@ when those cannot prove a pick; a request only looks its state up.
 Convergence tables reuse one large Hamiltonian: each n_max column,
 largest first, compacts its rows into the leading block of H's own
 buffer, and each l_max cell of the column solves a leading view of that
-block.  Z scans walk a charge grid down to the critical region
-near Z = 1, enlarging the radial box as the outer electron delocalizes,
-solve all states of one charge in one basis, and never let one failed
-row abort the rest.  A charge whose basis in the scaled radius rho = Z r
+block, whose configuration list takes those rows from the arrays of the
+one list built at the largest truncation.  Z scans walk a charge grid
+down to the critical region near Z = 1, enlarging the radial box as the
+outer electron delocalizes, solve all states of one charge in one basis,
+and never let one failed row abort the rest.  A charge whose basis in the scaled radius rho = Z r
 is the last solved charge's (every Z >= 2 under the default box) builds
 no basis and assembles nothing: it rescales that charge's kept H, as
 H(Z) = s^2 D + s V with s = Z / Z0.  Every other charge builds its own
@@ -303,7 +304,7 @@ def _report(config: RunConfig, served, state_text: str) -> StateReport:
         xi_sz0=spin_weighted_entanglement(purity, "sz0"),
         xi_polarized=(spin_weighted_entanglement(purity, "triplet_polarized")
                       if spin == 1 else None),
-        dominant=state.dominant.label(),
+        dominant=state.dominant,
         dominant_weight=state.dominant_weight,
         selection=state.selection,
         ambiguous=state.ambiguous,
@@ -366,13 +367,11 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
     ctx = build_context(big, ())   # its orbitals only
     cfgs = build_config_list(ctx.config.l_max, ctx.config.n_max, spin)
     (H,) = assemble_hamiltonian([cfgs], SlaterIntegralTable(ctx.orbitals))
-    ls = np.array([c.l for c in cfgs])
-    n2s = np.array([c.n2 for c in cfgs])
     flat, Hn = H.reshape(-1), H
     kept = np.arange(len(cfgs))   # the configurations of column Hn
     rows = []
     for n_cut in reversed(n_cuts):
-        keep = np.flatnonzero(n2s[kept] <= n_cut)
+        keep = np.flatnonzero(cfgs.n2[kept] <= n_cut)
         m = len(keep)
         if m < len(Hn):
             # keep is ascending, so row i of n x n Hn lands at flat offset
@@ -386,12 +385,11 @@ def run_convergence(config: RunConfig, l_values, n_values) -> ConvergenceResult:
                     Hn[np.ix_(chunk, keep)].ravel()
             Hn = flat[:m * m].reshape(m, m)
             kept = kept[keep]
-        column = [cfgs[i] for i in kept]   # each cell's list is a prefix
         l_cuts = [l for l in l_values if l < n_cut]
-        leads = np.searchsorted(ls[kept], l_cuts, side="right")
+        leads = np.searchsorted(cfgs.l[kept], l_cuts, side="right")
         for l_cut, lead in zip(l_cuts, leads):
-            sub = ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
-                             configs=column[:lead])
+            # each cell's list is a prefix of its column's
+            sub = cfgs.take(kept[:lead], l_cut, n_cut)
             state = lowest_states(Hn[:lead, :lead], sub, [pair])[0]
             rdm = state_spectrum(state, sub)
             rows.append(ConvergenceRow(

@@ -112,7 +112,7 @@ def _toy_states():
             vec = spec.eigenvectors[:, idx]
             out.append((CIState(
                 energy=float(spec.eigenvalues[idx]), coefficients=vec,
-                S=configs.S, dominant=configs[0], dominant_weight=0.0),
+                S=configs.S, dominant=configs.label(0), dominant_weight=0.0),
                 configs))
     return out
 

@@ -32,7 +32,7 @@ def toy_states(l_max=1, n_max=3, per_spin=3):
             state = CIState(
                 energy=float(spec.eigenvalues[idx]),
                 coefficients=spec.eigenvectors[:, idx],
-                S=S, dominant=configs[0], dominant_weight=0.0,
+                S=S, dominant=configs.label(0), dominant_weight=0.0,
             )
             out.append((state, configs))
     return out
@@ -46,7 +46,7 @@ def random_state(configs, seed):
     vec = rng.normal(size=len(configs))
     vec /= np.linalg.norm(vec)
     return CIState(energy=0.0, coefficients=vec, S=configs.S,
-                   dominant=configs[0], dominant_weight=0.0)
+                   dominant=configs.label(0), dominant_weight=0.0)
 
 
 def with_pair_matrix(state, configs, l, C):
@@ -179,17 +179,17 @@ def test_spin_weighted_entanglement_identities():
 def test_error_paths():
     state, configs = STATES[0]
     bad = CIState(energy=0.0, coefficients=state.coefficients[:-1],
-                  S=0, dominant=configs[0], dominant_weight=0.0)
+                  S=0, dominant=configs.label(0), dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
         state_spectrum(bad, configs)
     triplets = STATES[-1][1]
     flipped = CIState(energy=0.0, coefficients=np.zeros(len(triplets)),
-                      S=0, dominant=configs[0], dominant_weight=0.0)
+                      S=0, dominant=configs.label(0), dominant_weight=0.0)
     with pytest.raises(InconsistentInputError, match="spins"):
         state_spectrum(flipped, triplets)
     unnormalized = CIState(
         energy=0.0, coefficients=2.0 * state.coefficients,
-        S=0, dominant=configs[0], dominant_weight=0.0)
+        S=0, dominant=configs.label(0), dominant_weight=0.0)
     with pytest.raises(InconsistentInputError):
         state_spectrum(unnormalized, configs)
     # no configurations at all (triplets at n_max = 1): a zero trace too

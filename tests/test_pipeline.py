@@ -202,10 +202,8 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
         for n_cut in (2, 5, 8):
             if n_cut <= l_cut:
                 continue
-            keep = np.array([i for i, c in enumerate(cfgs)
-                             if c.l <= l_cut and c.n2 <= n_cut])
-            sub = ci.ConfigList(l_max=l_cut, n_max=n_cut, S=spin,
-                                configs=[cfgs[i] for i in keep])
+            keep = np.flatnonzero((cfgs.l <= l_cut) & (cfgs.n2 <= n_cut))
+            sub = cfgs.take(keep, l_cut, n_cut)
             (state,) = lowest(H[np.ix_(keep, keep)], sub, [pair])
             rdm = pipeline.state_spectrum(state, sub)
             want.append((l_cut, n_cut, state.energy,
@@ -217,6 +215,34 @@ def test_convergence_cells_match_submatrix_solves(monkeypatch):
     assert len(solved) == len(want)
     for l_cut, n_cut, M in solved:
         assert np.shares_memory(M, assembled[0]), (l_cut, n_cut)
+
+
+def test_convergence_cell_lists_are_built_lists(monkeypatch):
+    """Each cell's take() equals build_config_list of its cut, row for row.
+
+    The table solves leading views of its columns, which is right only if
+    the rows with l <= l_cut and n2 <= n_cut are, in order, the whole
+    (l_cut, n_cut) list.
+    """
+    cells = []
+    lowest = pipeline.lowest_states
+
+    def recording_lowest(H, configs, pairs):
+        cells.append(configs)
+        return lowest(H, configs, pairs)
+
+    monkeypatch.setattr(pipeline, "lowest_states", recording_lowest)
+    for state, l_values, n_values in (("ground", [0, 1, 2, 3], [4, 6, 9]),
+                                      ("1s2s-3S", [2, 0, 1], [8, 2, 5])):
+        cells.clear()
+        run_convergence(RunConfig(z=2.0, state=state), l_values, n_values)
+        assert len(cells) == sum(n > l for l in l_values for n in n_values
+                                 if n >= parse_state(state)[0][1])
+        for got in cells:
+            want = ci.build_config_list(got.l_max, got.n_max, got.S)
+            assert got.S == parse_state(state)[1]
+            for name in ("l", "n1", "n2"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_convergence_solve_loop_copies_no_column(monkeypatch):
@@ -242,7 +268,7 @@ def test_convergence_solve_loop_copies_no_column(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    m = len([c for c in ci.build_config_list(2, 25, 0) if c.n2 <= 20])
+    m = np.count_nonzero(ci.build_config_list(2, 25, 0).n2 <= 20)
     assert peak - after[0] < 8 * m * m
 
 
