@@ -31,22 +31,21 @@ NUMERICAL_ERRORS = (
 )
 
 
-# each RunConfig key a command line can set: its flag and help text
+# each RunConfig key's flag and help text
 CONFIG_FLAGS = {
     "z": ("--z", "nuclear charge"),
     "state": ("--state", "state spec, e.g. 1s2-1S, 1s2s-3S, ground"),
     "l_max": ("--lmax", "largest orbital angular momentum in the CI"),
     "n_max": ("--nmax", "largest principal quantum number per l"),
     "r_max": ("--rmax", "radial box size in a.u. (default: policy by Z)"),
-    "order": ("--order", "B-spline order k (default 7)"),
 }
 
 # the keys each verb reads: converge cuts at --lvalues/--nvalues, and
 # zscan solves --states at --charges
 VERB_KEYS = {
     "solve": tuple(CONFIG_FLAGS),
-    "converge": ("z", "state", "r_max", "order"),
-    "zscan": ("l_max", "n_max", "r_max", "order"),
+    "converge": ("z", "state", "r_max"),
+    "zscan": ("l_max", "n_max", "r_max"),
 }
 
 

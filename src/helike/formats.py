@@ -88,6 +88,10 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {f.name: _jsonable(getattr(obj, f.name))
                for f in dataclasses.fields(obj)}
+        if isinstance(obj, RunConfig):
+            # the basis policy's values, so every payload records its basis
+            out.update(order=obj.order, n_splines=obj.n_splines,
+                       gamma=obj.gamma)
         if isinstance(obj, ZScanResult):
             # a scan solves .states instead, and each row has its own box
             for key in ("state", "z", "r_max", "gamma"):
@@ -134,9 +138,8 @@ SPECTRUM_FIELDS = ["l", "eigenvalue", "degeneracy"]
 
 def _rows(items, fields: list[str], config: RunConfig) -> list[dict]:
     """One row per item: each field from the item, else from config."""
-    cols = dataclasses.asdict(config)
-    return [{name: getattr(item, name) if hasattr(item, name)
-             else cols[name] for name in fields} for item in items]
+    return [{name: getattr(item if hasattr(item, name) else config, name)
+             for name in fields} for item in items]
 
 
 def solve_rows(report: StateReport) -> list[dict]:

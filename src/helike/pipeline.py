@@ -117,53 +117,49 @@ def parse_state(text: str) -> tuple[tuple[int, int], int]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of one pipeline run; None means 'apply the default policy'.
+    """Parameters of one pipeline run; r_max None means 'apply the box policy'.
 
-    resolve() checks every field and fills every policy-dependent one, so
-    the exact numbers used can be echoed into output metadata.
+    The radial basis has no settings of its own: order, n_splines and
+    gamma are read-only properties, a policy of (n_max, r_max).  resolve()
+    checks every field and fills r_max, so the exact numbers used can be
+    echoed into output metadata.
     """
 
     z: float = 2.0
     state: str = "1s2-1S"
     l_max: int = 3
     n_max: int = 25
-    order: int = DEFAULT_ORDER
-    n_splines: int | None = None     # default: max(n_max + 4, order + 1)
     r_max: float | None = None       # default: default_box_radius(z)
-    gamma: float | None = None       # default: default_gamma(r_max)
+
+    @property
+    def order(self) -> int:
+        return DEFAULT_ORDER
+
+    @property
+    def n_splines(self) -> int:
+        return max(self.n_max + EXTRA_SPLINES, self.order + 1)
+
+    @property
+    def gamma(self) -> float:
+        """Knot stiffness of the resolved box."""
+        return default_gamma(self.resolve().r_max)
 
     def resolve(self) -> "RunConfig":
-        # before the box and gamma policies, which need these in range
+        # before the box policy, which needs these in range
         if not 1.0 <= self.z < math.inf:
             raise InvalidParameterError(
                 f"Z must be finite and >= 1, got {self.z}")
         if self.r_max is not None and not 0.0 < self.r_max < math.inf:
             raise InvalidParameterError(
                 f"r_max must be finite and positive, got {self.r_max}")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+        if not 0 <= self.l_max < self.n_max:
             raise InvalidParameterError(
-                f"gamma must be finite and positive, got {self.gamma}")
-        r = self.r_max if self.r_max is not None else default_box_radius(self.z)
-        res = replace(
-            self,
-            n_splines=(self.n_splines if self.n_splines is not None
-                       else max(self.n_max + EXTRA_SPLINES, self.order + 1)),
-            r_max=r,
-            gamma=self.gamma if self.gamma is not None else default_gamma(r),
-        )
-        if not 0 <= res.l_max < res.n_max:
-            raise InvalidParameterError(
-                f"need 0 <= l_max < n_max, got ({res.l_max}, {res.n_max})"
+                f"need 0 <= l_max < n_max, got ({self.l_max}, {self.n_max})"
             )
-        if res.order < 3:
-            raise InvalidParameterError(f"spline order {res.order} too small")
-        if res.n_splines < res.n_max + 2:
-            raise InvalidParameterError(
-                f"{res.n_splines} splines cannot host {res.n_max} orbitals "
-                "with boundary splines removed"
-            )
-        parse_state(res.state)
-        return res
+        parse_state(self.state)
+        if self.r_max is not None:
+            return self
+        return replace(self, r_max=default_box_radius(self.z))
 
 
 def lowest_states(H: np.ndarray, configs: ConfigList,
@@ -448,15 +444,14 @@ SCAN_ERRORS = (HelikeError, MemoryError, np.linalg.LinAlgError)
 
 
 def _same_basis(a: RunConfig, b: RunConfig) -> bool:
-    """Whether resolved configs a and b have one basis in rho = Z r.
+    """Whether resolved configs a and b of one scan have one basis in rho = Z r.
 
-    The knots are r_max times an exponential profile set by gamma,
-    n_splines and order, and each cell holds order + 1 quadrature points.
-    Z r_max is compared to rounding: under the default box Z * (120 / Z)
-    is 120 within a few ulps.
+    The knots are r_max times an exponential profile set by gamma, and a
+    scan's one n_max fixes the rest of the basis.  Z r_max is compared to
+    rounding: under the default box Z * (120 / Z) is 120 within a few ulps.
     """
-    return ((a.gamma, a.n_splines, a.order) == (b.gamma, b.n_splines, b.order)
-            and math.isclose(a.z * a.r_max, b.z * b.r_max, rel_tol=1e-14))
+    return a.gamma == b.gamma and math.isclose(a.z * a.r_max, b.z * b.r_max,
+                                               rel_tol=1e-14)
 
 
 def _rescaled(kept, s: float, targets) -> dict:
@@ -478,12 +473,12 @@ def run_zscan(config: RunConfig | None = None, charges=None,
 
     The box radius follows default_box_radius(z) unless the config pins
     r_max.  The base config is resolved once before the first charge, so
-    a bad r_max, gamma, n_splines, l_max, n_max or order is an
-    InvalidParameterError for the scan; only z varies by charge.  The
-    charges are walked once, upward.  A charge whose basis in rho = Z r is
-    the last solved charge's (every Z >= 2 under the default box; none
-    with a pinned r_max) builds no basis: it rescales that charge's kept
-    H of each spin in place and solves its states there.  Every other
+    a bad r_max, l_max or n_max is an InvalidParameterError for the scan;
+    only z varies by charge.  The charges are walked once, upward.  A
+    charge whose basis in rho = Z r is the last solved charge's (every
+    Z >= 2 under the default box; none with a pinned r_max) builds no
+    basis: it rescales that charge's kept H of each spin in place and
+    solves its states there.  Every other
     charge drops the kept H and builds one context for all states, whose
     H it keeps in turn.  Each row reports its own charge's r_max and
     gamma; rows come back ordered by Z then state.  Failed (Z, state)

@@ -10,20 +10,25 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helike import selftest
-from helike.ci import build_config_list
+from helike.bspline import BSplineBasis, make_knots
+from helike.ci import assemble_hamiltonian, build_config_list
 from helike.entanglement import (
     RdmSpectrum,
     linear_entropy,
     spin_weighted_entanglement,
+    state_spectrum,
     von_neumann_entropy,
 )
+from helike.orbitals import build_orbital_set
 from helike.pipeline import (
     SCAN_DEFAULTS,
     RunConfig,
     build_context,
+    lowest_states,
     run_zscan,
     solve_in_context,
 )
+from helike.slater import SlaterIntegralTable
 
 from helpers import count_interior_extrema
 
@@ -205,3 +210,38 @@ def test_09_high_z_expansion():
             assert e2_win[0] <= e2 <= e2_win[1], (z, state, e2)
             s = z * z * (report.s_linear - limit)
             assert s_win[0] <= s <= s_win[1], (z, state, s)
+
+
+def test_10_basis_policy_against_neighbours(helium_standard):
+    """The fixed basis policy is as good as its neighbours at He l3,n25.
+
+    The policy is order 7, n_max + 4 = 29 splines and gamma 6 at r_max 60.
+    Each neighbour changes one of them by one step: order 6 and 8, gamma 5
+    and 7, 28 and 30 splines.  Measured: no neighbour lowers an energy by
+    more than 8.4e-7 a.u. (gamma 7, ground), and the entropies move by at
+    most 4.5e-6 (S_L) and 1.7e-5 (S_vN), both at gamma 5.  The windows,
+    1e-5 a.u. and 1e-4, leave a margin of about 12 and 6.
+    """
+    def solved(order, n_splines, gamma):
+        basis = BSplineBasis(make_knots(60.0, n_splines, order, gamma=gamma))
+        lists = [build_config_list(3, 25, s) for s in (0, 1)]
+        Hs = assemble_hamiltonian(lists, SlaterIntegralTable(
+            build_orbital_set(basis, 2.0, 25, 3)))
+        out = []
+        for H, cfgs, pairs in zip(Hs, lists, ([(1, 1), (1, 2)], [(1, 2)])):
+            for state in lowest_states(H, cfgs, pairs):
+                rdm = state_spectrum(state, cfgs)
+                out.append((state.energy, linear_entropy(rdm),
+                            von_neumann_entropy(rdm)))
+        return out
+
+    policy = [(r.energy, r.s_linear, r.s_von_neumann)
+              for r in (helium_standard[s]
+                        for s in ("ground", "1s2s-1S", "1s2s-3S"))]
+    for neighbour in ((6, 29, 6.0), (8, 29, 6.0), (7, 29, 5.0),
+                      (7, 29, 7.0), (7, 28, 6.0), (7, 30, 6.0)):
+        for (e, s_l, s_vn), (e0, s_l0, s_vn0) in zip(solved(*neighbour),
+                                                     policy):
+            assert e > e0 - 1e-5, (neighbour, e - e0)
+            assert abs(s_l - s_l0) <= 1e-4, (neighbour, s_l - s_l0)
+            assert abs(s_vn - s_vn0) <= 1e-4, (neighbour, s_vn - s_vn0)

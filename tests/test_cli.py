@@ -33,6 +33,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert rows[0]["r_max"] == 80.0
     # the CSV keeps 12 significant digits
     assert abs(rows[0]["gamma"] - default_gamma(80.0)) < 1e-10
+    # ... and echoes the rest of the basis policy: n_max + 4 splines
+    assert (rows[0]["order"], rows[0]["n_splines"]) == (7, 12)
     assert rows[0]["s_linear"] >= 0.5
     spectrum = read_csv(tmp_path / "spectrum.csv")
     assert abs(sum(r["eigenvalue"] * r["degeneracy"]
@@ -70,12 +72,14 @@ def test_config_overrides_file(tmp_path):
 
 def test_config_keys_follow_run_config():
     names = [f.name for f in fields(RunConfig)]
+    # the basis is a policy of these, with no settings of its own
+    assert names == ["z", "state", "l_max", "n_max", "r_max"]
     assert list(formats.CONFIG_KEYS) == names
-    assert set(CONFIG_FLAGS) <= set(names)
+    assert set(CONFIG_FLAGS) == set(names)
     # each verb takes the flags of exactly the keys it reads
     reads = {"solve": set(CONFIG_FLAGS),
-             "converge": {"z", "state", "r_max", "order"},
-             "zscan": {"l_max", "n_max", "r_max", "order"}}
+             "converge": {"z", "state", "r_max"},
+             "zscan": {"l_max", "n_max", "r_max"}}
     parser = build_parser()
     for verb, keys in reads.items():
         for key, (flag, _) in CONFIG_FLAGS.items():
@@ -166,20 +170,23 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert run(["solve", "--z", "2", "--state", "bogus",
                 "--out", str(tmp_path)]) == 1
     cfg = tmp_path / "bad.cfg"
-    # the basis policy fixes the knot layout and quadrature: no key sets them
-    for line in ("unknown_key = 1", "grid = linear", "quad_points = 10"):
+    # the basis policy fixes the knots, the spline order and count and the
+    # quadrature: no key sets them
+    for line in ("unknown_key = 1", "grid = linear", "quad_points = 10",
+                 "order = 5", "n_splines = 30", "gamma = 5"):
         cfg.write_text(line + "\n")
         assert run(["solve", "--config", str(cfg),
                     "--out", str(tmp_path)]) == 1
         assert "unknown key" in capsys.readouterr().err
-    # gamma = 0 would put NaN knots on the exponential grid
+    # gamma = 0 would put NaN knots on the exponential grid, and a negative
+    # gamma clusters them at the box edge (E = -0.80, not -2.90, for He
+    # l1,n5): neither can be set
     cfg.write_text("gamma = 0\n")
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    # a negative gamma clusters the knots at the box edge: E = -0.80, not
-    # -2.90, for He l1,n5
     cfg.write_text("gamma = -3\nz = 2\nl_max = 1\nn_max = 5\n")
     assert run(["solve", "--config", str(cfg),
                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("unknown key 'gamma'") == 2
     assert run(["zscan", "--charges", ",", "--out", str(tmp_path)]) == 1
     # zscan solves --states, so a config file's state would go unused
     cfg.write_text("state = 1s3s-1S\n")
@@ -194,6 +201,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert run(["solve", "--threads", "2", "--out", str(tmp_path)]) == 1
     assert run(["converge", "--format", "svg", "--out", str(tmp_path)]) == 1
     assert run(["converge", "--nmax", "3", "--out", str(tmp_path)]) == 1
+    # the spline order is the basis policy's, on every verb
+    for verb in ("solve", "converge", "zscan"):
+        assert run([verb, "--order", "5", "--out", str(tmp_path)]) == 1
     # the box comes from --rmax or the Z policy; no verb searches for one
     assert run(["solve", "--escalate-box", "--out", str(tmp_path)]) == 1
     assert run(["zscan", "--escalate-box", "--out", str(tmp_path)]) == 1

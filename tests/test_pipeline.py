@@ -67,20 +67,20 @@ def test_config_resolution_and_validation():
     assert basis.n_splines == 19 and basis.r_max == 60.0
     assert np.array_equal(np.bincount(basis.quad_cell),
                           np.full(basis.n_cells, config.order + 1))
+    # the basis is a policy of (n_max, r_max), read but never set
+    assert (config.order, config.gamma) == (7, 6.0)
+    with pytest.raises(TypeError):
+        RunConfig(order=7)
     RunConfig(z=2.0).resolve()
     with pytest.raises(InvalidParameterError):
         RunConfig(z=0.5).resolve()
     with pytest.raises(InvalidParameterError):
         RunConfig(l_max=5, n_max=4).resolve()
     with pytest.raises(InvalidParameterError):
-        RunConfig(n_splines=10, n_max=15).resolve()
-    with pytest.raises(InvalidParameterError):
         RunConfig(state="2p3p").resolve()
-    # checked before the box and gamma policies see them
+    # checked before the box policy sees them
     for bad in ({"z": math.inf}, {"z": math.nan}, {"r_max": 0.0},
-                {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan},
-                {"gamma": 0.0}, {"gamma": -3.0}, {"gamma": math.inf},
-                {"gamma": math.nan}):
+                {"r_max": -5.0}, {"r_max": math.inf}, {"r_max": math.nan}):
         with pytest.raises(InvalidParameterError):
             RunConfig(**bad).resolve()
 
