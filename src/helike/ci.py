@@ -307,16 +307,6 @@ class Spectrum:
         return self.eigenvectors.shape[1] == self.eigenvectors.shape[0]
 
 
-# partial spectra of matrices with at least this many rows go to davidson,
-# smaller ones to the complete eigh.  First-rung solves (roots 0..1 or
-# 0..2), median of 7 calls on a 2-vCPU Xeon, two runs, davidson / eigh on
-# He l4,n30 submatrices: 0.98-1.92 / 0.78-1.06 ms at 85 rows, 0.83-1.43 /
-# 1.25-1.51 ms at 100, 1.03-1.52 / 1.90-2.39 ms at 136 and 2.37-3.91 /
-# 12.8-15.8 ms at 316.  The Z-scan basis (274 / 316 rows) is above the
-# cut, so its energy-order picks pay a first rung before their complete
-# eigh: on the 16 zscan matrices 16 first rungs and 7 complete eigh took
-# 0.14-0.18 s against 0.18-0.24 s for 16 complete eigh.
-DAVIDSON_MIN_DIM = 100
 DAVIDSON_MAX_ITER = 50
 # davidson's smallest start subspace.  On the He l3,n25 Z = 1 singlet the
 # roots 0..1 took 14 steps (31 ms) from 16 start vectors; from top + 5 = 6
@@ -342,17 +332,16 @@ def _is_symmetric(H: np.ndarray) -> bool:
 def diagonalize(H: np.ndarray, top: int | None = None) -> Spectrum:
     """Roots 0..top of H (every root with top=None), after a symmetry check.
 
-    When top leaves roots out and H has at least DAVIDSON_MIN_DIM rows, the
-    roots 0..top come from davidson(H, top).  Otherwise the result is the
-    complete numpy.linalg.eigh decomposition, whatever top asks for.  An
-    eigenvector's sign is whatever the solver left; no output reads it.
+    When top leaves roots out, the roots 0..top come from davidson(H, top);
+    otherwise the result is the complete numpy.linalg.eigh decomposition.
+    An eigenvector's sign is whatever the solver left; no output reads it.
     """
     if not _is_symmetric(H):   # a NaN fails it too: NaN != NaN
         bad = H.size - np.count_nonzero(np.isfinite(H))
         raise InconsistentInputError(
             f"Hamiltonian has {bad} non-finite entries" if bad
             else "Hamiltonian must be exactly symmetric")
-    if top is not None and top < len(H) - 1 and len(H) >= DAVIDSON_MIN_DIM:
+    if top is not None and top < len(H) - 1:
         return davidson(H, top)
     return Spectrum(*np.linalg.eigh(H))
 

@@ -50,25 +50,25 @@ def multipole_element(l1, m1, l2, m2, l3, m3, l4, m4, k) -> float:
     return acc
 
 
-def coupling_coefficient_msum(l1, l2, l3, l4, L, k, M=0) -> float:
+def coupling_coefficient_msum(l1, l2, l3, l4, k) -> float:
     """Angular factor c_k by direct summation over magnetic quantum numbers.
 
-    Expands both coupled states |(l l')L M> over Clebsch-Gordan sums and
-    contracts the rank-k multipole operator; independent of M.
+    Expands both coupled states |(l1 l2) 0 0> and |(l3 l4) 0 0> over
+    Clebsch-Gordan sums and contracts the rank-k multipole operator.
     """
     acc = 0.0
     for m1 in range(-l1, l1 + 1):
-        m2 = M - m1
+        m2 = -m1
         if abs(m2) > l2:
             continue
-        cg_bra = clebsch_gordan(l1, m1, l2, m2, L, M)
+        cg_bra = clebsch_gordan(l1, m1, l2, m2, 0, 0)
         if cg_bra == 0.0:
             continue
         for m3 in range(-l3, l3 + 1):
-            m4 = M - m3
+            m4 = -m3
             if abs(m4) > l4:
                 continue
-            cg_ket = clebsch_gordan(l3, m3, l4, m4, L, M)
+            cg_ket = clebsch_gordan(l3, m3, l4, m4, 0, 0)
             if cg_ket == 0.0:
                 continue
             acc += cg_bra * cg_ket * multipole_element(
@@ -147,9 +147,11 @@ def _product_h_element(bra, ket, slater: SlaterIntegralTable,
     return val
 
 
-def csf_determinants(n1, n2, l, L, ML, S, MS):
-    """CSF (n1 l)(n2 l) as (determinant, coefficient) pairs with m labels."""
-    terms = csf_expand(n1, l, n2, l, L, ML, S, MS)
+def csf_determinants(n1, n2, l, S):
+    """CSF (n1 l)(n2 l) at L = M_L = M_S = 0 as (determinant, coefficient)
+    pairs with m labels.
+    """
+    terms = csf_expand(n1, l, n2, l, 0, 0, S, 0)
     out = []
     for m, mp, ms, msp, coeff in terms:
         det = ((n1, l, m, ms), (n2, l, mp, msp))
@@ -157,18 +159,18 @@ def csf_determinants(n1, n2, l, L, ML, S, MS):
     return out
 
 
-def hamiltonian_msum(configs: ConfigList, slater: SlaterIntegralTable,
-                     ML=0, MS=0) -> np.ndarray:
+def hamiltonian_msum(configs: ConfigList,
+                     slater: SlaterIntegralTable) -> np.ndarray:
     """L = 0 CI Hamiltonian from the raw Slater-determinant expansion.
 
-    The one-body energies come from slater.orbitals.  Every CSF is
-    expanded over determinants, every determinant over signed spin-orbital
-    products, and the operator is contracted term by term.  Each
-    rank_block the radial integrals read is computed once per call.
-    O(everything); for toy bases only.
+    The one-body energies come from slater.orbitals.  Every CSF, at
+    M_L = M_S = 0, is expanded over determinants, every determinant over
+    signed spin-orbital products, and the operator is contracted term by
+    term.  Each rank_block the radial integrals read is computed once per
+    call.  O(everything); for toy bases only.
     """
     expansions = [
-        csf_determinants(n1, n2, l, 0, ML, configs.S, MS)
+        csf_determinants(n1, n2, l, configs.S)
         for n1, n2, l in zip(configs.n1, configs.n2, configs.l)
     ]
     n = len(configs)

@@ -166,11 +166,11 @@ def lowest_states(H: np.ndarray, configs: ConfigList,
                   pairs: list[tuple[int, int]]) -> list[CIState]:
     """select_state's full-spectrum picks on pairs, from the lowest roots of H.
 
-    The first rung solves roots 0..max(n2) - S through diagonalize
-    (Davidson from DAVIDSON_MIN_DIM rows on, the complete eigh below): by
-    the Hylleraas-Undheim-MacDonald bound a target's rank is n2 - 1 - S,
-    so these hold every target's rank and one root above the highest,
-    which sets davidson's Ritz gap.  When select_state cannot prove some
+    The first rung solves roots 0..max(n2) - S through diagonalize, by
+    Davidson unless they are every root of H: by the
+    Hylleraas-Undheim-MacDonald bound a target's rank is n2 - 1 - S, so
+    these hold every target's rank and one root above the highest, which
+    sets davidson's Ritz gap.  When select_state cannot prove some
     pick from them, the second rung diagonalizes H in full and picks every
     pair again from it.  Every pair must lie inside configs.
     """

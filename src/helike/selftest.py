@@ -29,9 +29,10 @@ from .orbitals import build_orbital_set, hydrogenic_energy
 from .slater import SlaterIntegralTable
 
 
-def _toy_context(Z=2.0, l_max=1, n_max=3):
+def _toy_context(n_max=3):
+    """The R^k table of He orbitals up to n_max, l <= 1, in a 30 a.u. box."""
     basis = BSplineBasis(make_knots(30.0, 12, 7, gamma=5.0))
-    return SlaterIntegralTable(build_orbital_set(basis, Z, n_max, l_max))
+    return SlaterIntegralTable(build_orbital_set(basis, 2.0, n_max, 1))
 
 
 def check_hydrogenic_energies() -> float:
@@ -76,14 +77,14 @@ def check_slater_closed_forms() -> float:
     return worst
 
 
-def check_coupling_coefficients(l_cut=4, k_cut=8) -> float:
+def check_coupling_coefficients() -> float:
     """Closed-form angular factors vs brute-force magnetic sums (L = 0)."""
     worst = 0.0
-    for l in range(l_cut + 1):
-        for lp in range(l_cut + 1):
-            for k in range(k_cut + 1):
+    for l in range(5):
+        for lp in range(5):
+            for k in range(9):
                 a = coupling_coefficient(l, lp, k)
-                b = coupling_coefficient_msum(l, l, lp, lp, 0, k)
+                b = coupling_coefficient_msum(l, l, lp, lp, k)
                 worst = max(worst, abs(a - b))
     return worst
 

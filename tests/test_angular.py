@@ -106,7 +106,7 @@ def test_coupling_coefficient_vs_magnetic_sum():
         for lp in range(5):
             for k in range(9):
                 fast = coupling_coefficient(l, lp, k)
-                slow = coupling_coefficient_msum(l, l, lp, lp, 0, k)
+                slow = coupling_coefficient_msum(l, l, lp, lp, k)
                 assert_allclose(fast, slow, atol=1e-12)
 
 

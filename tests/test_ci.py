@@ -103,9 +103,11 @@ def test_hamiltonian_symmetric_and_variational(toy):
     assert spec.complete and np.all(np.diff(spec.eigenvalues) >= 0)
     # ground eigenvalue below the lowest diagonal element
     assert spec.eigenvalues[0] < H.diagonal().min()
-    # below the Davidson cut every top gives the complete eigh
+    # a partial request goes to davidson even on 9 rows; asking for every
+    # root gives the complete eigh
     low = diagonalize(H, 2)
-    assert low.complete and np.array_equal(low.eigenvalues, spec.eigenvalues)
+    assert not low.complete
+    assert_allclose(low.eigenvalues, spec.eigenvalues[:3], rtol=0, atol=1e-12)
     assert diagonalize(H, len(H) - 1).complete
 
 
@@ -403,10 +405,21 @@ def test_iterative_spectrum_defers_what_it_cannot_prove():
 
 
 def test_davidson_matches_eigh(toy):
-    """davidson, called below and above the cut, vs scipy.linalg.eigh."""
+    """davidson vs scipy.linalg.eigh, from 4 to 1154 rows.
+
+    diagonalize sends each of these partial requests to davidson, at any
+    size: He l0 singlets at n_max 5 and 10 (15 and 55 rows) are the size
+    of the convergence table's smallest cells.
+    """
     slater = toy
     lists = [build_config_list(1, 3, S) for S in (0, 1)]
     cases = [(H, 2) for H in assemble_hamiltonian(lists, slater)]
+    for n_max in (5, 10):
+        ctx = build_context(RunConfig(z=2.0, l_max=0, n_max=n_max),
+                            states=())
+        cases += [(H, 0) for H in assemble_hamiltonian(
+            [build_config_list(0, n_max, 0)],
+            SlaterIntegralTable(ctx.orbitals))]
     for z in (1.0, 2.0):
         ctx = build_context(RunConfig(z=z, l_max=3, n_max=25), states=())
         lists = [build_config_list(3, 25, S) for S in (0, 1)]
@@ -419,6 +432,9 @@ def test_davidson_matches_eigh(toy):
     for H, top in cases:
         spec = davidson(H, top)
         assert not spec.complete   # converged, no fallback
+        routed = diagonalize(H, top)
+        assert np.array_equal(routed.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(routed.eigenvectors, spec.eigenvectors)
         eigval, eigvec = scipy.linalg.eigh(H, subset_by_index=(0, top))
         assert_allclose(spec.eigenvalues, eigval, rtol=0, atol=1e-10)
         # an eigenvector's sign is arbitrary, so compare |overlap|
@@ -454,7 +470,6 @@ def test_diagonalize_rejects_asymmetric_hamiltonian():
     ctx = build_context(RunConfig(z=2.0, **SCAN_DEFAULTS), states=())
     (H,) = assemble_hamiltonian([build_config_list(2, 15, 1)],
                                 SlaterIntegralTable(ctx.orbitals))
-    assert len(H) >= ci.DAVIDSON_MIN_DIM
     skewed = H.copy()
     skewed[3, 40] = np.nextafter(skewed[3, 40], np.inf)
     # NaN != NaN fails the symmetry test too, but the message says why

@@ -275,9 +275,10 @@ def test_convergence_solve_loop_copies_no_column(monkeypatch):
 def test_lowest_root_solves_match_full_eigh(monkeypatch):
     """solve_in_context and run_convergence agree with full-eigh solves.
 
-    With DAVIDSON_MIN_DIM past every dimension each solve is the full eigh.
-    build_context solves each spin in one lowest_states call: the singlet
-    for ground and 1s2s 1S, then the triplet.
+    The reference run replaces ci.davidson with the full eigh, so each of
+    its solves is complete.  build_context solves each spin in one
+    lowest_states call: the singlet for ground and 1s2s 1S, then the
+    triplet.
     """
     solves = []   # per lowest_states call, its diagonalize calls
     diagonalize, lowest = pipeline.diagonalize, pipeline.lowest_states
@@ -314,7 +315,8 @@ def test_lowest_root_solves_match_full_eigh(monkeypatch):
         return out, contexts
 
     lowest_roots, contexts = outcomes()
-    monkeypatch.setattr(ci, "DAVIDSON_MIN_DIM", 10**6)
+    monkeypatch.setattr(ci, "davidson",
+                        lambda H, top: ci.Spectrum(*np.linalg.eigh(H)))
     full, _ = outcomes()
     assert lowest_roots.keys() == full.keys()
     for key, got in lowest_roots.items():
